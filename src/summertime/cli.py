@@ -18,9 +18,10 @@ from .config import (METHOD_NAMES, PipelineConfig, apply_overrides, load_config)
 from .dataset import Corpus, generate_synthetic, load_corpus, save_corpus
 from .errors import (ConfigError, ConsistencyError, CorpusLoadError,
                      EvaluationError, FitError, SummertimeError)
-from .evaluate import compare_methods, write_report_files
-from .features import featurize_corpus, stack_features, write_features_csv
-from .summarize import summarize_corpus, summary_matrix, write_summaries_csv
+from .evaluate import (FittedPipeline, compare_methods, fit_pipeline,
+                       write_report_files)
+from .features import featurize_corpus, write_features_csv
+from .summarize import summarize_corpus, write_summaries_csv
 
 log = logging.getLogger(__name__)
 
@@ -36,8 +37,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"comma-separated subset of: {', '.join(METHOD_NAMES)}")
     shared.add_argument("--aggregation", choices=("sum", "mean"),
                         help="per-bout aggregation of window MET estimates")
-    shared.add_argument("--parallel-folds", type=int, metavar="N",
-                        help="concurrent fold workers (default 1)")
     shared.add_argument("--out", metavar="DIR", help="output directory")
     shared.add_argument("--corpus", metavar="DIR",
                         help="corpus directory to load (default: synthesize)")
@@ -92,7 +91,6 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
         window_length=args.window_length,
         methods=methods,
         aggregation=args.aggregation,
-        parallel_folds=args.parallel_folds,
         out=args.out,
         corpus=args.corpus,
     )
@@ -109,28 +107,20 @@ def _obtain_corpus(config: PipelineConfig) -> Corpus:
     )
 
 
-def _fit_all(corpus: Corpus, config: PipelineConfig):
-    """Whole-corpus fit of every stage; returns (features, mixture,
-    summaries, classifier, suite)."""
+def _fit_and_save(corpus: Corpus, config: PipelineConfig
+                  ) -> tuple[FittedPipeline, Path]:
+    """Fit every stage on the whole corpus and write the three model files."""
     features = featurize_corpus(corpus, config.window_length)
     log.info("fitting mixture on %d windows", sum(f.window_count for f in features))
-    mixture = vbgmm.fit_mixture(
-        stack_features(features), config.gmm.fit_settings(), seed=config.gmm.seed
-    )
-    log.info("mixture kept %d components", mixture.component_count)
-    summaries = summarize_corpus(mixture, features)
-    classifier = classify.train_mlp(
-        summary_matrix(summaries),
-        [s.activity_class for s in summaries],
-        class_labels=corpus.label_set,
-        settings=config.mlp.settings(),
-        seed=config.mlp.seed,
-    )
-    augmented = config.regression.mode == "augmented"
-    suite = regress.fit_regression_suite(
-        features, summaries if augmented else None, corpus.label_set
-    )
-    return features, mixture, summaries, classifier, suite
+    fitted = fit_pipeline(features, corpus.label_set, config,
+                          config.gmm.seed, config.mlp.seed)
+    log.info("mixture kept %d components", fitted.mixture.component_count)
+    out = Path(config.io.out)
+    out.mkdir(parents=True, exist_ok=True)
+    vbgmm.save_model(fitted.mixture, out / "model_gmm.json")
+    classify.save_model(fitted.classifier, out / "model_mlp.json")
+    regress.save_suite(fitted.suite, out / "model_regression.json")
+    return fitted, out
 
 
 def _echo_comparison(comparison: dict) -> None:
@@ -172,14 +162,8 @@ def cmd_featurize(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def cmd_fit(args: argparse.Namespace, config: PipelineConfig) -> int:
-    corpus = _obtain_corpus(config)
-    _, mixture, _, classifier, suite = _fit_all(corpus, config)
-    out = Path(config.io.out)
-    out.mkdir(parents=True, exist_ok=True)
-    vbgmm.save_model(mixture, out / "model_gmm.json")
-    classify.save_model(classifier, out / "model_mlp.json")
-    regress.save_suite(suite, out / "model_regression.json")
-    print(f"fitted {mixture.component_count} mixture components; "
+    fitted, out = _fit_and_save(_obtain_corpus(config), config)
+    print(f"fitted {fitted.mixture.component_count} mixture components; "
           f"models written to {out}")
     return 0
 
@@ -213,13 +197,8 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
     corpus = _obtain_corpus(config)
-    _, mixture, summaries, classifier, suite = _fit_all(corpus, config)
-    out = Path(config.io.out)
-    out.mkdir(parents=True, exist_ok=True)
-    vbgmm.save_model(mixture, out / "model_gmm.json")
-    classify.save_model(classifier, out / "model_mlp.json")
-    regress.save_suite(suite, out / "model_regression.json")
-    write_summaries_csv(summaries, out / "summaries.csv")
+    fitted, out = _fit_and_save(corpus, config)
+    write_summaries_csv(fitted.summaries, out / "summaries.csv")
     comparison = compare_methods(corpus, config.evaluation.methods, config)
     write_report_files(comparison, out)
     _echo_comparison(comparison)

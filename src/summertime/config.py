@@ -112,7 +112,6 @@ class RegressionConfig:
 @dataclass(frozen=True)
 class EvaluationConfig:
     methods: tuple[str, ...] = ("summertime",)
-    parallel_folds: int = 1
 
     def validate(self) -> None:
         if not self.methods:
@@ -125,8 +124,6 @@ class EvaluationConfig:
                 )
         if len(set(self.methods)) != len(self.methods):
             raise ConfigError("evaluation.methods contains duplicates")
-        if self.parallel_folds < 1:
-            raise ConfigError("evaluation.parallel_folds must be positive")
 
 
 @dataclass(frozen=True)
@@ -186,23 +183,20 @@ class PipelineConfig:
             "gmm": _section_dict(self.gmm),
             "mlp": _section_dict(self.mlp),
             "regression": _section_dict(self.regression),
-            "evaluation": {
-                "methods": list(self.evaluation.methods),
-                "parallel_folds": self.evaluation.parallel_folds,
-            },
+            "evaluation": {"methods": list(self.evaluation.methods)},
             "synthetic": _section_dict(self.synthetic),
             "io": _section_dict(self.io),
         }
 
     def semantic_dict(self) -> dict:
-        """Config minus execution plumbing (output paths, fold parallelism).
+        """Config minus execution plumbing (input and output paths).
 
-        Serial and parallel runs of one config must produce identical
-        reports, so only this view may enter fingerprints and report files.
+        One config on one corpus must produce identical reports wherever
+        its files live, so only this view may enter fingerprints and report
+        files.
         """
         semantic = self.to_dict()
         del semantic["io"]
-        del semantic["evaluation"]["parallel_folds"]
         return semantic
 
     def fingerprint(self, extra: dict | None = None) -> str:
@@ -287,7 +281,6 @@ def apply_overrides(config: PipelineConfig, *, seed: int | None = None,
                     window_length: int | None = None,
                     methods: Sequence[str] | None = None,
                     aggregation: str | None = None,
-                    parallel_folds: int | None = None,
                     out: str | None = None,
                     corpus: str | None = None) -> PipelineConfig:
     """Command-line flag overrides; flags win over file values."""
@@ -302,10 +295,6 @@ def apply_overrides(config: PipelineConfig, *, seed: int | None = None,
     if aggregation is not None:
         config = replace(
             config, regression=replace(config.regression, aggregation=aggregation)
-        )
-    if parallel_folds is not None:
-        config = replace(
-            config, evaluation=replace(config.evaluation, parallel_folds=parallel_folds)
         )
     if out is not None:
         config = replace(config, io=replace(config.io, out=out))

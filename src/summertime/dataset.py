@@ -11,8 +11,10 @@ On disk a corpus is a directory with:
 * one signal CSV per bout -- header ``t,axis1,...,axisA[,met]``.  The optional
   ``met`` column holds the per-window target either on the first row of each
   window (canonical) or repeated across the window's rows.
-* ``provenance.json`` -- label-set order, axis count, free-text provenance and
-  the RNG seed for synthetic corpora.  Optional on load; always written.
+* ``provenance.json`` -- label-set order, axis count, free-text provenance,
+  the RNG seed for synthetic corpora and the window length the ``met``
+  column was written for.  Optional on load; always written.  A corpus must
+  be loaded with the window length it was saved with.
 """
 
 from __future__ import annotations
@@ -312,6 +314,11 @@ def load_corpus(path: str | Path,
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise CorpusLoadError(f"{meta_path}: invalid JSON ({exc})") from None
+    if "window_length" in meta and meta["window_length"] != window_length:
+        raise CorpusLoadError(
+            f"{meta_path}: corpus was saved with window_length "
+            f"{meta['window_length']} but is loaded with window_length {window_length}"
+        )
 
     with open(manifest, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

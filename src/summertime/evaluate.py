@@ -21,15 +21,13 @@ Five method pipelines share this harness:
                         MET directly from window features.
 
 Reports are deterministic functions of (corpus, config): per-fold seeds are
-derived from the config seeds, and parallel fold execution merges results in
-fold order.
+derived from the config seeds, and folds run serially in fold order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -43,7 +41,7 @@ from .errors import EvaluationError, SummertimeError
 from .features import WindowFeatures, featurize_corpus, stack_features
 from .reference import reference_panel
 from .summarize import SummaryVector, summarize_corpus, summary_matrix
-from .vbgmm import fit_mixture
+from .vbgmm import MixtureModel, fit_mixture
 
 
 def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
@@ -151,6 +149,52 @@ class EvaluationReport:
 
 
 # --------------------------------------------------------------------------
+# The fitted pipeline
+# --------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class FittedPipeline:
+    """Every trained stage of the summary pipeline, fitted on one training set."""
+
+    mixture: MixtureModel
+    summaries: list[SummaryVector]  # of the training bouts, in their order
+    classifier: classify.MlpModel
+    suite: regress.RegressionSuite
+
+
+def _fit_summaries(train_feats: Sequence[WindowFeatures], config: PipelineConfig,
+                   mixture_seed: int) -> tuple[MixtureModel, list[SummaryVector]]:
+    mixture = fit_mixture(stack_features(train_feats), config.gmm.fit_settings(),
+                          seed=mixture_seed)
+    return mixture, summarize_corpus(mixture, train_feats)
+
+
+def fit_pipeline(train_feats: Sequence[WindowFeatures], labels: tuple[str, ...],
+                 config: PipelineConfig, mixture_seed: int,
+                 classifier_seed: int) -> FittedPipeline:
+    """Fit the mixture, summarize the training bouts, train the summary
+    classifier and fit the per-class regression suite.
+
+    The CLI fits the whole corpus with the config seeds; the ``summertime``
+    method fits each LOSO fold's training set with that fold's seeds.
+    """
+    mixture, summaries = _fit_summaries(train_feats, config, mixture_seed)
+    classifier = classify.train_mlp(
+        summary_matrix(summaries),
+        [s.activity_class for s in summaries],
+        class_labels=labels,
+        settings=config.mlp.settings(),
+        seed=classifier_seed,
+    )
+    augmented = config.regression.mode == "augmented"
+    suite = regress.fit_regression_suite(
+        train_feats, summaries if augmented else None, labels
+    )
+    return FittedPipeline(mixture, summaries, classifier, suite)
+
+
+# --------------------------------------------------------------------------
 # Per-method fold runners
 # --------------------------------------------------------------------------
 
@@ -177,37 +221,19 @@ def _target_rows(features: Sequence[WindowFeatures]) -> tuple[np.ndarray, np.nda
     return np.vstack(xs), np.concatenate(ys)
 
 
-def _actual_met(feat: WindowFeatures, aggregation: str) -> float | None:
-    if feat.targets is None:
-        return None
-    return regress.aggregate(np.asarray(feat.targets, dtype=float), aggregation)
-
-
 def _run_summertime(train: Corpus, test: Corpus, config: PipelineConfig,
                     seeds: StageSeeds, labels: tuple[str, ...]
                     ) -> list[tuple[str, float | None]]:
     train_feats = featurize_corpus(train, config.window_length)
     test_feats = featurize_corpus(test, config.window_length)
-    mixture = fit_mixture(stack_features(train_feats), config.gmm.fit_settings(),
-                          seed=seeds.mixture)
-    train_sums = summarize_corpus(mixture, train_feats)
-    test_sums = summarize_corpus(mixture, test_feats)
-    model = classify.train_mlp(
-        summary_matrix(train_sums),
-        [s.activity_class for s in train_sums],
-        class_labels=labels,
-        settings=config.mlp.settings(),
-        seed=seeds.classifier,
-    )
+    fitted = fit_pipeline(train_feats, labels, config, seeds.mixture,
+                          seeds.classifier)
     augmented = config.regression.mode == "augmented"
-    suite = regress.fit_regression_suite(
-        train_feats, train_sums if augmented else None, labels
-    )
     results = []
-    for feat, summary in zip(test_feats, test_sums):
-        prediction = classify.predict_class(model, summary.ratios)
+    for feat, summary in zip(test_feats, summarize_corpus(fitted.mixture, test_feats)):
+        prediction = classify.predict_class(fitted.classifier, summary.ratios)
         met = regress.predict_bout_met(
-            suite, prediction.label, feat,
+            fitted.suite, prediction.label, feat,
             summary.ratios if augmented else None,
             config.regression.aggregation,
         )
@@ -296,6 +322,17 @@ METHOD_RUNNERS: dict[str, FoldRunner] = {
 # --------------------------------------------------------------------------
 
 
+def _folds(corpus: Corpus, config: PipelineConfig
+           ) -> list[tuple[Corpus, Corpus, StageSeeds]]:
+    """LOSO (train, test, seeds) triples in sorted subject order."""
+    try:
+        splits = loso_folds(corpus)
+    except ValueError as exc:
+        raise EvaluationError(str(exc)) from None
+    seeds = derive_stage_seeds(config, len(splits))
+    return [(train, test, seeds[i]) for i, (train, test) in enumerate(splits)]
+
+
 def _run_fold(runner: FoldRunner, fold_index: int, train: Corpus, test: Corpus,
               config: PipelineConfig, seeds: StageSeeds,
               labels: tuple[str, ...]) -> tuple[FoldSummary, list[BoutOutcome]]:
@@ -342,7 +379,7 @@ def _run_fold(runner: FoldRunner, fold_index: int, train: Corpus, test: Corpus,
 
 def run_loso(corpus: Corpus, method: str, config: PipelineConfig,
              runner: FoldRunner | None = None) -> EvaluationReport:
-    """Evaluate one method across all LOSO folds of the corpus.
+    """Evaluate one method across all LOSO folds of the corpus, in fold order.
 
     ``runner`` overrides the registry entry for ``method``; tests use this to
     inject oracle stubs.
@@ -354,28 +391,17 @@ def run_loso(corpus: Corpus, method: str, config: PipelineConfig,
                 f"{', '.join(sorted(METHOD_RUNNERS))}"
             )
         runner = METHOD_RUNNERS[method]
-    try:
-        folds = loso_folds(corpus)
-    except ValueError as exc:
-        raise EvaluationError(str(exc)) from None
-    seeds = derive_stage_seeds(config, len(folds))
     labels = corpus.label_set
+    summaries = []
+    outcomes: list[BoutOutcome] = []
+    for i, (train, test, seeds) in enumerate(_folds(corpus, config)):
+        summary, fold_outcomes = _run_fold(runner, i, train, test, config,
+                                           seeds, labels)
+        summaries.append(summary)
+        outcomes.extend(fold_outcomes)
     fingerprint = config.fingerprint({"corpus": corpus_fingerprint(corpus)})
-
-    def job(i: int) -> tuple[FoldSummary, list[BoutOutcome]]:
-        train, test = folds[i]
-        return _run_fold(runner, i, train, test, config, seeds[i], labels)
-
-    if config.evaluation.parallel_folds > 1:
-        with ThreadPoolExecutor(max_workers=config.evaluation.parallel_folds) as pool:
-            fold_results = list(pool.map(job, range(len(folds))))
-    else:
-        fold_results = [job(i) for i in range(len(folds))]
-
-    fold_results.sort(key=lambda item: item[0].fold_index)
-    summaries = tuple(summary for summary, _ in fold_results)
-    outcomes = tuple(o for _, fold_outcomes in fold_results for o in fold_outcomes)
-    return _build_report(method, labels, summaries, outcomes, fingerprint)
+    return _build_report(method, labels, tuple(summaries), tuple(outcomes),
+                         fingerprint)
 
 
 def _build_report(method: str, labels: tuple[str, ...],
@@ -438,12 +464,11 @@ def compare_methods(corpus: Corpus, methods: Sequence[str],
                     config: PipelineConfig) -> dict:
     """Run every method on identical folds and seeds; side-by-side payload."""
     reports = {method: run_loso(corpus, method, config) for method in methods}
+    corpus_print = corpus_fingerprint(corpus)
     return {
         "config": config.semantic_dict(),
-        "config_fingerprint": config.fingerprint(
-            {"corpus": corpus_fingerprint(corpus)}
-        ),
-        "corpus_fingerprint": corpus_fingerprint(corpus),
+        "config_fingerprint": config.fingerprint({"corpus": corpus_print}),
+        "corpus_fingerprint": corpus_print,
         "labels": list(corpus.label_set),
         "methods": {m: report_to_dict(r) for m, r in reports.items()},
         "reference_panel": reference_panel(),
@@ -458,23 +483,16 @@ def compare_regression_modes(corpus: Corpus, config: PipelineConfig) -> dict:
     augmented design contains the window-only design's columns, so its
     training RMSE cannot be larger.
     """
-    try:
-        folds = loso_folds(corpus)
-    except ValueError as exc:
-        raise EvaluationError(str(exc)) from None
-    seeds = derive_stage_seeds(config, len(folds))
-    labels = corpus.label_set
     pooled: dict[str, list[np.ndarray]] = {
         "train_augmented": [], "train_window_only": [],
         "test_augmented": [], "test_window_only": [],
         "train_actual": [], "test_actual": [],
     }
-    for i, (train, test) in enumerate(folds):
+    labels = corpus.label_set
+    for train, test, seeds in _folds(corpus, config):
         train_feats = featurize_corpus(train, config.window_length)
         test_feats = featurize_corpus(test, config.window_length)
-        mixture = fit_mixture(stack_features(train_feats),
-                              config.gmm.fit_settings(), seed=seeds[i].mixture)
-        train_sums = summarize_corpus(mixture, train_feats)
+        mixture, train_sums = _fit_summaries(train_feats, config, seeds.mixture)
         test_sums = summarize_corpus(mixture, test_feats)
         suites = {
             "augmented": regress.fit_regression_suite(train_feats, train_sums, labels),
@@ -484,16 +502,14 @@ def compare_regression_modes(corpus: Corpus, config: PipelineConfig) -> dict:
             ("train", train_feats, train_sums),
             ("test", test_feats, test_sums),
         ):
-            ratio_by_bout = {s.bout_id: s.ratios for s in sums}
-            for feat in feats:
+            for feat, summary in zip(feats, sums):
                 if feat.targets is None:
                     continue
                 pooled[f"{split}_actual"].append(np.asarray(feat.targets, dtype=float))
                 for mode, suite in suites.items():
                     pooled[f"{split}_{mode}"].append(
                         regress.predict_windows(
-                            suite, feat.activity_class, feat.matrix,
-                            ratio_by_bout[feat.bout_id],
+                            suite, feat.activity_class, feat.matrix, summary.ratios,
                         )
                     )
     result = {}

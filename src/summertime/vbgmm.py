@@ -148,22 +148,6 @@ class MixtureModel:
     def dim(self) -> int:
         return self.means.shape[1]
 
-    @classmethod
-    def from_parameters(cls, weights, means, covariances,
-                        standardizer: Standardizer | None = None) -> "MixtureModel":
-        """Build a model from explicit original-space parameters (no fitting)."""
-        means = np.asarray(means, dtype=float)
-        if standardizer is None:
-            standardizer = Standardizer(
-                mean=np.zeros(means.shape[1]), std=np.ones(means.shape[1])
-            )
-        return cls(
-            weights=np.asarray(weights, dtype=float),
-            means=means,
-            covariances=np.asarray(covariances, dtype=float),
-            standardizer=standardizer,
-        )
-
 
 def _z_log_component_densities(model: MixtureModel, data: np.ndarray) -> np.ndarray:
     """(N, K) log N(z_n | mu_k, Sigma_k) in z-scored space."""

@@ -132,14 +132,3 @@ def test_report_json_is_byte_identical_across_runs(tmp_path):
     a = (tmp_path / "r1" / "report.json").read_bytes()
     b = (tmp_path / "r2" / "report.json").read_bytes()
     assert a == b
-
-
-def test_parallel_folds_flag_keeps_report_bytes(tmp_path):
-    cfg = write_config(tmp_path)
-    assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "ser"),
-                 "--methods", "summertime"]) == 0
-    assert main(["evaluate", "--config", cfg, "--out", str(tmp_path / "par"),
-                 "--methods", "summertime", "--parallel-folds", "3"]) == 0
-    a = (tmp_path / "ser" / "report.json").read_bytes()
-    b = (tmp_path / "par" / "report.json").read_bytes()
-    assert a == b

@@ -33,6 +33,9 @@ def test_unknown_keys_are_named():
         config_from_dict({"gmm": {"x": 1}})
     with pytest.raises(ConfigError, match="unknown config key nonsense"):
         config_from_dict({"nonsense": {}})
+    with pytest.raises(ConfigError,
+                       match="unknown config key evaluation.parallel_folds"):
+        config_from_dict({"evaluation": {"parallel_folds": 1}})
 
 
 def test_value_validation_messages():
@@ -74,13 +77,12 @@ def test_overrides_win_over_file_values():
     config = PipelineConfig()
     updated = apply_overrides(
         config, seed=55, window_length=10, methods=["linreg_local"],
-        aggregation="sum", parallel_folds=2, out="elsewhere", corpus="corpus_dir",
+        aggregation="sum", out="elsewhere", corpus="corpus_dir",
     )
     assert updated.synthetic.seed == 55
     assert updated.window_length == 10
     assert updated.evaluation.methods == ("linreg_local",)
     assert updated.regression.aggregation == "sum"
-    assert updated.evaluation.parallel_folds == 2
     assert updated.io.out == "elsewhere"
     assert updated.io.corpus == "corpus_dir"
     # None overrides leave everything alone
@@ -91,9 +93,7 @@ def test_semantic_dict_drops_execution_keys():
     config = PipelineConfig()
     semantic = config.semantic_dict()
     assert "io" not in semantic
-    assert "parallel_folds" not in semantic["evaluation"]
-    full = config.to_dict()
-    assert "io" in full and "parallel_folds" in full["evaluation"]
+    assert "io" in config.to_dict()
 
 
 def test_fingerprint_is_stable_and_content_sensitive():

@@ -90,6 +90,16 @@ def test_load_accepts_manifest_path_directly(tmp_path):
     assert corpora_equal(corpus, loaded)
 
 
+@pytest.mark.parametrize("wrong_length", [10, 24])
+def test_load_rejects_a_window_length_other_than_the_saved_one(tmp_path, wrong_length):
+    corpus = small_corpus()
+    save_corpus(corpus, tmp_path / "c", window_length=12)
+    with pytest.raises(CorpusLoadError,
+                       match=rf"provenance\.json: corpus was saved with window_length "
+                             rf"12 but is loaded with window_length {wrong_length}"):
+        load_corpus(tmp_path / "c", window_length=wrong_length)
+
+
 def test_load_reports_file_and_line_for_bad_manifest(tmp_path):
     corpus = small_corpus()
     save_corpus(corpus, tmp_path / "c")
