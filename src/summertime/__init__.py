@@ -9,7 +9,7 @@ leave-one-subject-out cross-validation against four baseline methods.
 from .dataset import (Bout, ClassRegime, Corpus, DEFAULT_LABELS, SyntheticConfig,
                       generate_synthetic, load_corpus, loso_folds, save_corpus)
 from .features import WindowFeatures, featurize_bout, featurize_corpus
-from .vbgmm import FitSettings, MixtureModel, MixturePrior, fit_mixture
+from .vbgmm import FitSettings, MixtureModel, fit_mixture
 from .summarize import SummaryVector, summarize_bout, summarize_corpus
 from .classify import ClassPrediction, MlpModel, MlpSettings, train_mlp
 from .regress import LinearModel, RegressionSuite, fit_regression_suite
@@ -24,7 +24,7 @@ __all__ = [
     "Bout", "ClassRegime", "Corpus", "DEFAULT_LABELS", "SyntheticConfig",
     "generate_synthetic", "load_corpus", "loso_folds", "save_corpus",
     "WindowFeatures", "featurize_bout", "featurize_corpus",
-    "FitSettings", "MixtureModel", "MixturePrior", "fit_mixture",
+    "FitSettings", "MixtureModel", "fit_mixture",
     "SummaryVector", "summarize_bout", "summarize_corpus",
     "ClassPrediction", "MlpModel", "MlpSettings", "train_mlp",
     "LinearModel", "RegressionSuite", "fit_regression_suite",

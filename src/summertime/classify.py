@@ -15,7 +15,6 @@ so gradients can be checked against finite differences.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FitError
+from .errors import FitError, load_payload, reading_payload, save_payload
 from .vbgmm import Standardizer
 
 
@@ -303,35 +302,29 @@ def model_to_dict(model: MlpModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> MlpModel:
-    if payload.get("format") != "mlp":
-        raise ValueError(f"not a network payload: format={payload.get('format')!r}")
-    if payload.get("version") != 1:
-        raise ValueError(f"unsupported network version {payload.get('version')!r}")
-    standardizer = None
-    if payload.get("standardizer"):
-        standardizer = Standardizer(
-            mean=np.array(payload["standardizer"]["mean"], dtype=float),
-            std=np.array(payload["standardizer"]["std"], dtype=float),
+    with reading_payload(payload, "mlp", "network"):
+        standardizer = None
+        if payload.get("standardizer"):
+            standardizer = Standardizer(
+                mean=np.array(payload["standardizer"]["mean"], dtype=float),
+                std=np.array(payload["standardizer"]["std"], dtype=float),
+            )
+        return MlpModel(
+            w1=np.array(payload["w1"], dtype=float),
+            b1=np.array(payload["b1"], dtype=float),
+            w2=np.array(payload["w2"], dtype=float),
+            b2=np.array(payload["b2"], dtype=float),
+            head=payload["head"],
+            class_labels=tuple(payload.get("class_labels", ())),
+            input_standardizer=standardizer,
+            training_log=tuple(payload.get("training_log", ())),
+            seed=payload.get("seed"),
         )
-    return MlpModel(
-        w1=np.array(payload["w1"], dtype=float),
-        b1=np.array(payload["b1"], dtype=float),
-        w2=np.array(payload["w2"], dtype=float),
-        b2=np.array(payload["b2"], dtype=float),
-        head=payload["head"],
-        class_labels=tuple(payload.get("class_labels", ())),
-        input_standardizer=standardizer,
-        training_log=tuple(payload.get("training_log", ())),
-        seed=payload.get("seed"),
-    )
 
 
 def save_model(model: MlpModel, path: str | Path) -> None:
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
-        fh.write("\n")
+    save_payload(model_to_dict(model), path)
 
 
 def load_model(path: str | Path) -> MlpModel:
-    with open(Path(path), encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return load_payload(path, model_from_dict)

@@ -10,93 +10,38 @@ from __future__ import annotations
 
 import hashlib
 import json
+import types
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Literal, Sequence, get_args, get_type_hints
 
 from .classify import MlpSettings
 from .dataset import SyntheticConfig
-from .errors import ConfigError
-from .vbgmm import FitSettings, MixturePrior
+from .errors import ConfigError, FitError
+from .vbgmm import FitSettings
 
 METHOD_NAMES = ("summertime", "ann_voting", "linreg_local", "fivereg_ann",
                 "ann_regression")
 
 
 @dataclass(frozen=True)
-class GmmConfig:
-    k_max: int = 20
-    dirichlet_alpha0: float = 1e-3
-    beta0: float = 1.0
-    nu0: float | None = None  # None: feature dimension + 1
-    tol: float = 1e-6
-    max_iter: int = 500
-    weight_floor: float | None = None  # None: 1 / (10 * training size)
+class GmmConfig(FitSettings):
+    """The ``gmm`` section: mixture fit settings plus the whole-corpus fit seed."""
+
     seed: int = 0
-
-    def fit_settings(self) -> FitSettings:
-        return FitSettings(
-            k_max=self.k_max,
-            max_iter=self.max_iter,
-            tol=self.tol,
-            weight_floor=self.weight_floor,
-            prior=MixturePrior(
-                dirichlet_alpha0=self.dirichlet_alpha0,
-                beta0=self.beta0,
-                nu0=self.nu0,
-            ),
-        )
-
-    def validate(self) -> None:
-        if self.k_max < 1:
-            raise ConfigError("gmm.k_max must be positive")
-        if self.dirichlet_alpha0 <= 0:
-            raise ConfigError("gmm.dirichlet_alpha0 must be positive")
-        if self.beta0 <= 0:
-            raise ConfigError("gmm.beta0 must be positive")
-        if self.tol <= 0:
-            raise ConfigError("gmm.tol must be positive")
-        if self.max_iter < 1:
-            raise ConfigError("gmm.max_iter must be positive")
-        if self.weight_floor is not None and not 0 < self.weight_floor < 1:
-            raise ConfigError("gmm.weight_floor must be in (0, 1)")
 
 
 @dataclass(frozen=True)
-class MlpConfig:
-    hidden_units: int = 25
-    learning_rate: float = 0.01
-    epochs: int = 500
-    batch_size: int = 32
-    l2_penalty: float = 1e-4
+class MlpConfig(MlpSettings):
+    """The ``mlp`` section: network settings plus the whole-corpus fit seed."""
+
     seed: int = 0
-
-    def settings(self) -> MlpSettings:
-        return MlpSettings(
-            hidden_units=self.hidden_units,
-            learning_rate=self.learning_rate,
-            epochs=self.epochs,
-            batch_size=self.batch_size,
-            l2_penalty=self.l2_penalty,
-        )
-
-    def validate(self) -> None:
-        if self.hidden_units < 1:
-            raise ConfigError("mlp.hidden_units must be positive")
-        if self.learning_rate <= 0:
-            raise ConfigError("mlp.learning_rate must be positive")
-        if self.epochs < 1:
-            raise ConfigError("mlp.epochs must be positive")
-        if self.batch_size < 1:
-            raise ConfigError("mlp.batch_size must be positive")
-        if self.l2_penalty < 0:
-            raise ConfigError("mlp.l2_penalty must be nonnegative")
 
 
 @dataclass(frozen=True)
 class RegressionConfig:
-    mode: str = "augmented"  # or 'window_only'
-    aggregation: str = "mean"  # or 'sum'
+    mode: Literal["augmented", "window_only"] = "augmented"
+    aggregation: Literal["mean", "sum"] = "mean"
 
     def validate(self) -> None:
         if self.mode not in ("augmented", "window_only"):
@@ -169,8 +114,11 @@ class PipelineConfig:
     def validate(self) -> "PipelineConfig":
         if self.window_length < 2:
             raise ConfigError("window_length must be >= 2")
-        self.gmm.validate()
-        self.mlp.validate()
+        for name in ("gmm", "mlp"):
+            try:
+                getattr(self, name).validate()
+            except FitError as exc:
+                raise ConfigError(f"{name}.{exc}") from None
         self.regression.validate()
         self.evaluation.validate()
         self.synthetic.validate()
@@ -222,13 +170,33 @@ def _section_dict(section: Any) -> dict:
     return {f.name: getattr(section, f.name) for f in fields(section)}
 
 
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _check_type(where: str, hint: Any, value: Any) -> None:
+    """Reject a JSON value of the wrong type for an int, float or str field
+    (float fields take integers too, ``X | None`` fields take null, number
+    fields never take booleans); ``validate`` checks the other fields."""
+    options = get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+    nullable = type(None) in options
+    kind = next((t for t in options if t in _TYPE_NAMES), None)
+    if kind is None or (value is None and nullable):
+        return
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigError(
+            f"{where} must be {_TYPE_NAMES[kind]}{' or null' if nullable else ''}"
+        )
+
+
 def _build_section(name: str, cls: type, payload: Any) -> Any:
     if not isinstance(payload, dict):
         raise ConfigError(f"section {name!r} must be an object")
-    known = {f.name for f in fields(cls)}
-    for key in payload:
-        if key not in known:
+    hints = get_type_hints(cls)
+    for key, value in payload.items():
+        if key not in hints:
             raise ConfigError(f"unknown config key {name}.{key}")
+        _check_type(f"{name}.{key}", hints[key], value)
     values = dict(payload)
     if name == "evaluation" and "methods" in values:
         methods = values["methods"]
@@ -257,11 +225,7 @@ def config_from_dict(payload: dict) -> PipelineConfig:
     for name, cls in _SECTIONS.items():
         if name in payload:
             kwargs[name] = _build_section(name, cls, payload[name])
-    try:
-        config = PipelineConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"invalid config: {exc}") from None
-    return config.validate()
+    return PipelineConfig(**kwargs).validate()
 
 
 def load_config(path: str | Path) -> PipelineConfig:

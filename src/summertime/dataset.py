@@ -314,6 +314,10 @@ def load_corpus(path: str | Path,
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise CorpusLoadError(f"{meta_path}: invalid JSON ({exc})") from None
+        if not isinstance(meta, dict):
+            raise CorpusLoadError(
+                f"{meta_path}: must hold a JSON object, got {type(meta).__name__}"
+            )
     if "window_length" in meta and meta["window_length"] != window_length:
         raise CorpusLoadError(
             f"{meta_path}: corpus was saved with window_length "

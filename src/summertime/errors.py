@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the model-file reading
+and writing that every fitted stage shares."""
+
+from __future__ import annotations
+
+import json
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Any, Callable, Iterator, TypeVar
+
+T = TypeVar("T")
 
 
 class SummertimeError(Exception):
@@ -23,3 +33,41 @@ class ConsistencyError(SummertimeError):
 
 class EvaluationError(SummertimeError):
     """A cross-validation stage failed; message carries the fold context."""
+
+
+@contextmanager
+def reading_payload(payload: Any, fmt: str, noun: str) -> Iterator[None]:
+    """Check a saved model's header, then read it in the ``with`` block.
+
+    Malformed payloads raise ValueError naming the cause: a non-object
+    document, a foreign format, an unknown version, or (from inside the
+    block) a missing key.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(
+            f"{noun} payload must be a JSON object, got {type(payload).__name__}"
+        )
+    if payload.get("format") != fmt:
+        raise ValueError(f"not a {noun} payload: format={payload.get('format')!r}")
+    if payload.get("version") != 1:
+        raise ValueError(f"unsupported {noun} version {payload.get('version')!r}")
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{noun} payload has no key {exc.args[0]!r}") from None
+
+
+def save_payload(payload: dict, path: str | Path) -> None:
+    with open(Path(path), "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+        fh.write("\n")
+
+
+def load_payload(path: str | Path, from_dict: Callable[[Any], T]) -> T:
+    """Read a saved model file; a malformed one raises ValueError naming it."""
+    path = Path(path)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return from_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None

@@ -165,7 +165,7 @@ class FittedPipeline:
 
 def _fit_summaries(train_feats: Sequence[WindowFeatures], config: PipelineConfig,
                    mixture_seed: int) -> tuple[MixtureModel, list[SummaryVector]]:
-    mixture = fit_mixture(stack_features(train_feats), config.gmm.fit_settings(),
+    mixture = fit_mixture(stack_features(train_feats), settings=config.gmm,
                           seed=mixture_seed)
     return mixture, summarize_corpus(mixture, train_feats)
 
@@ -184,7 +184,7 @@ def fit_pipeline(train_feats: Sequence[WindowFeatures], labels: tuple[str, ...],
         summary_matrix(summaries),
         [s.activity_class for s in summaries],
         class_labels=labels,
-        settings=config.mlp.settings(),
+        settings=config.mlp,
         seed=classifier_seed,
     )
     augmented = config.regression.mode == "augmented"
@@ -246,7 +246,7 @@ def _fit_voting_classifier(train_feats, config, seeds, labels):
         stack_features(train_feats),
         _window_labels(train_feats),
         class_labels=labels,
-        settings=config.mlp.settings(),
+        settings=config.mlp,
         seed=seeds.classifier,
         standardize_inputs=True,
     )
@@ -295,7 +295,7 @@ def _run_ann_regression(train: Corpus, test: Corpus, config: PipelineConfig,
     x, y = _target_rows(train_feats)
     regressor = classify.train_mlp(
         x, y, class_labels=None,
-        settings=config.mlp.settings(),
+        settings=config.mlp,
         seed=seeds.regressor,
         standardize_inputs=True,
     )

@@ -17,7 +17,6 @@ at zero after aggregation.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FitError
+from .errors import FitError, load_payload, reading_payload, save_payload
 from .features import WindowFeatures
 from .summarize import SummaryVector
 
@@ -230,34 +229,26 @@ def suite_to_dict(suite: RegressionSuite) -> dict:
 
 
 def suite_from_dict(payload: dict) -> RegressionSuite:
-    if payload.get("format") != "regression_suite":
-        raise ValueError(
-            f"not a regression suite payload: format={payload.get('format')!r}"
+    with reading_payload(payload, "regression_suite", "regression suite"):
+        models = tuple(
+            LinearModel(
+                activity_class=m["activity_class"],
+                coefficients=np.array(m["coefficients"], dtype=float),
+                mode=m["mode"],
+            )
+            for m in payload["models"]
         )
-    if payload.get("version") != 1:
-        raise ValueError(f"unsupported regression suite version {payload.get('version')!r}")
-    models = tuple(
-        LinearModel(
-            activity_class=m["activity_class"],
-            coefficients=np.array(m["coefficients"], dtype=float),
-            mode=m["mode"],
+        return RegressionSuite(
+            models=models,
+            class_labels=tuple(payload["class_labels"]),
+            feature_dim=int(payload["feature_dim"]),
+            summary_dim=int(payload["summary_dim"]),
         )
-        for m in payload["models"]
-    )
-    return RegressionSuite(
-        models=models,
-        class_labels=tuple(payload["class_labels"]),
-        feature_dim=int(payload["feature_dim"]),
-        summary_dim=int(payload["summary_dim"]),
-    )
 
 
 def save_suite(suite: RegressionSuite, path: str | Path) -> None:
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        json.dump(suite_to_dict(suite), fh)
-        fh.write("\n")
+    save_payload(suite_to_dict(suite), path)
 
 
 def load_suite(path: str | Path) -> RegressionSuite:
-    with open(Path(path), encoding="utf-8") as fh:
-        return suite_from_dict(json.load(fh))
+    return load_payload(path, suite_from_dict)

@@ -14,16 +14,16 @@ standardizer so new points can be scored.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import digamma, gammaln, logsumexp
 
-from .errors import ConsistencyError, FitError
+from .errors import (ConsistencyError, FitError, load_payload, reading_payload,
+                     save_payload)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -56,37 +56,36 @@ class Standardizer:
 
 
 @dataclass(frozen=True)
-class MixturePrior:
-    """Hyperparameters of the conjugate prior, in z-scored space.
+class FitSettings:
+    """Component budget, stopping rule, weight floor and prior hyperparameters.
 
-    ``nu0`` and ``scale0`` default per dimension at fit time (dim + 1 and the
-    identity) when left as None.
+    The prior acts in z-scored space: a symmetric Dirichlet with
+    concentration ``dirichlet_alpha0`` on the weights, and per component a
+    Gaussian-Wishart with mean zero, precision scale ``beta0``, Wishart
+    scale the identity and ``nu0`` degrees of freedom.
     """
 
+    k_max: int = 20
     dirichlet_alpha0: float = 1e-3
     beta0: float = 1.0
-    nu0: float | None = None
-    mean0: np.ndarray | None = None
-    scale0: np.ndarray | None = None
-
-    def resolved(self, dim: int) -> tuple[float, float, float, np.ndarray, np.ndarray]:
-        nu0 = float(self.nu0) if self.nu0 is not None else dim + 1.0
-        if nu0 < dim:
-            raise FitError(f"degrees of freedom {nu0} below dimension {dim}")
-        mean0 = (np.zeros(dim) if self.mean0 is None
-                 else np.asarray(self.mean0, dtype=float))
-        scale0 = (np.eye(dim) if self.scale0 is None
-                  else np.asarray(self.scale0, dtype=float))
-        return self.dirichlet_alpha0, self.beta0, nu0, mean0, scale0
-
-
-@dataclass(frozen=True)
-class FitSettings:
-    k_max: int = 20
-    max_iter: int = 500
+    nu0: float | None = None  # None: feature dimension + 1
     tol: float = 1e-6
-    weight_floor: float | None = None  # None: 1 / (10 * n_train)
-    prior: MixturePrior = field(default_factory=MixturePrior)
+    max_iter: int = 500
+    weight_floor: float | None = None  # None: 1 / (10 * training size)
+
+    def validate(self) -> None:
+        if self.k_max < 1:
+            raise FitError("k_max must be positive")
+        if self.dirichlet_alpha0 <= 0:
+            raise FitError("dirichlet_alpha0 must be positive")
+        if self.beta0 <= 0:
+            raise FitError("beta0 must be positive")
+        if self.tol <= 0:
+            raise FitError("tol must be positive")
+        if self.max_iter < 1:
+            raise FitError("max_iter must be positive")
+        if self.weight_floor is not None and not 0 < self.weight_floor < 1:
+            raise FitError("weight_floor must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -371,11 +370,12 @@ def fit_mixture(data: np.ndarray, settings: FitSettings | None = None,
                 seed: int = 0) -> MixtureModel:
     """Fit the mixture to (N, D) training data.
 
-    Raises FitError on non-finite input or too few points; raises
-    ConsistencyError if the objective ever decreases by more than 1e-8, which
-    would indicate a broken update, not bad data.
+    Raises FitError on invalid settings, non-finite input or too few points;
+    raises ConsistencyError if the objective ever decreases by more than
+    1e-8, which would indicate a broken update, not bad data.
     """
     settings = settings or FitSettings()
+    settings.validate()
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
         raise FitError(f"training data must be 2-d, got shape {data.shape}")
@@ -384,14 +384,15 @@ def fit_mixture(data: np.ndarray, settings: FitSettings | None = None,
     n, dim = data.shape
     if n < 2:
         raise FitError(f"need at least 2 training points, got {n}")
-    if settings.k_max < 1:
-        raise FitError("component budget must be positive")
+    nu0 = float(settings.nu0) if settings.nu0 is not None else dim + 1.0
+    if nu0 < dim:
+        raise FitError(f"degrees of freedom {nu0} below dimension {dim}")
 
     standardizer = Standardizer.fit(data)
     z = standardizer.transform(data)
     k = min(settings.k_max, n)
-    alpha0, beta0, nu0, m0, scale0 = settings.prior.resolved(dim)
-    w0_inv = np.linalg.inv(scale0)
+    alpha0, beta0 = settings.dirichlet_alpha0, settings.beta0
+    m0, w0_inv = np.zeros(dim), np.eye(dim)
 
     rng = np.random.default_rng(seed)
     resp = _initial_responsibilities(z, k, rng)
@@ -465,30 +466,24 @@ def model_to_dict(model: MixtureModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> MixtureModel:
-    if payload.get("format") != "vbgmm":
-        raise ValueError(f"not a mixture model payload: format={payload.get('format')!r}")
-    if payload.get("version") != 1:
-        raise ValueError(f"unsupported mixture model version {payload.get('version')!r}")
-    std = payload["standardizer"]
-    return MixtureModel(
-        weights=np.array(payload["weights"], dtype=float),
-        means=np.array(payload["means"], dtype=float),
-        covariances=np.array(payload["covariances"], dtype=float),
-        standardizer=Standardizer(
-            mean=np.array(std["mean"], dtype=float),
-            std=np.array(std["std"], dtype=float),
-        ),
-        elbo_trace=tuple(payload.get("elbo_trace", ())),
-        seed=payload.get("seed"),
-    )
+    with reading_payload(payload, "vbgmm", "mixture model"):
+        std = payload["standardizer"]
+        return MixtureModel(
+            weights=np.array(payload["weights"], dtype=float),
+            means=np.array(payload["means"], dtype=float),
+            covariances=np.array(payload["covariances"], dtype=float),
+            standardizer=Standardizer(
+                mean=np.array(std["mean"], dtype=float),
+                std=np.array(std["std"], dtype=float),
+            ),
+            elbo_trace=tuple(payload.get("elbo_trace", ())),
+            seed=payload.get("seed"),
+        )
 
 
 def save_model(model: MixtureModel, path: str | Path) -> None:
-    with open(Path(path), "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh)
-        fh.write("\n")
+    save_payload(model_to_dict(model), path)
 
 
 def load_model(path: str | Path) -> MixtureModel:
-    with open(Path(path), encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    return load_payload(path, model_from_dict)

@@ -246,9 +246,15 @@ def test_serialization_round_trip(tmp_path):
     assert loaded.head == model.head
 
 
-def test_serialization_rejects_foreign_payloads():
+def test_serialization_rejects_foreign_payloads(tmp_path):
     with pytest.raises(ValueError, match="format"):
         model_from_dict({"format": "not_mlp", "version": 1})
+    with pytest.raises(ValueError, match="must be a JSON object, got list"):
+        model_from_dict([])
+    path = tmp_path / "mlp.json"
+    path.write_text('{"format": "mlp", "version": 1}')
+    with pytest.raises(ValueError, match=r"mlp\.json: .* no key 'w1'"):
+        load_model(path)
 
 
 def test_model_dict_survives_json():

@@ -79,6 +79,13 @@ def test_summarize_without_model_fails_cleanly(tmp_path, capsys):
     code = main(["summarize", "--config", cfg, "--out", str(tmp_path / "empty")])
     assert code == 1
     assert "run fit first" in capsys.readouterr().err
+    model = tmp_path / "m.json"
+    model.write_text('{"format": "vbgmm", "version": 1}')
+    code = main(["summarize", "--config", cfg, "--model", str(model),
+                 "--out", str(tmp_path / "empty")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{model}: mixture model payload has no key 'standardizer'" in err
 
 
 def test_run_writes_reports_and_honors_methods_flag(tmp_path, capsys):

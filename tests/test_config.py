@@ -49,6 +49,32 @@ def test_value_validation_messages():
         config_from_dict({"evaluation": {"methods": ["summertime", "bogus"]}})
     with pytest.raises(ConfigError, match="duplicates"):
         config_from_dict({"evaluation": {"methods": ["summertime", "summertime"]}})
+    for payload, message in [
+        ({"mlp": {"epochs": "500"}}, "mlp.epochs must be an integer"),
+        ({"gmm": {"k_max": True}}, "gmm.k_max must be an integer"),
+        ({"gmm": {"k_max": 2.5}}, "gmm.k_max must be an integer"),
+        ({"gmm": {"nu0": "x"}}, "gmm.nu0 must be a number or null"),
+        ({"gmm": {"tol": False}}, "gmm.tol must be a number"),
+        ({"synthetic": {"subjects": None}}, "synthetic.subjects must be an integer"),
+        ({"io": {"out": 5}}, "io.out must be a string"),
+        ({"io": {"corpus": ["a"]}}, "io.corpus must be a string or null"),
+    ]:
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(payload)
+        assert str(info.value) == message
+    # Range checks live in the stage settings; the section name is prefixed.
+    for payload, message in [
+        ({"gmm": {"k_max": 0}}, "gmm.k_max must be positive"),
+        ({"gmm": {"weight_floor": 1.0}}, "gmm.weight_floor must be in (0, 1)"),
+        ({"mlp": {"learning_rate": -1}}, "mlp.learning_rate must be positive"),
+        ({"mlp": {"l2_penalty": -1}}, "mlp.l2_penalty must be nonnegative"),
+    ]:
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(payload)
+        assert str(info.value) == message
+    # Numbers where a float is due, and null where None is allowed, pass.
+    config = config_from_dict({"gmm": {"tol": 1, "nu0": None, "weight_floor": 0.5}})
+    assert config.gmm.tol == 1 and config.gmm.nu0 is None
 
 
 def test_method_registry_names():
@@ -94,6 +120,24 @@ def test_semantic_dict_drops_execution_keys():
     semantic = config.semantic_dict()
     assert "io" not in semantic
     assert "io" in config.to_dict()
+
+
+def test_default_config_is_pinned():
+    config = PipelineConfig()
+    assert config.fingerprint() == (
+        "de4c752a86dd772e37549f933e9a135195323a9ea83f2b808e2cb96334130a95"
+    )
+    assert {name: sorted(section) for name, section in config.to_dict().items()
+            if isinstance(section, dict)} == {
+        "gmm": ["beta0", "dirichlet_alpha0", "k_max", "max_iter", "nu0", "seed",
+                "tol", "weight_floor"],
+        "mlp": ["batch_size", "epochs", "hidden_units", "l2_penalty",
+                "learning_rate", "seed"],
+        "regression": ["aggregation", "mode"],
+        "evaluation": ["methods"],
+        "synthetic": ["bouts_per_class", "seed", "subjects"],
+        "io": ["corpus", "out"],
+    }
 
 
 def test_fingerprint_is_stable_and_content_sensitive():

@@ -100,6 +100,15 @@ def test_load_rejects_a_window_length_other_than_the_saved_one(tmp_path, wrong_l
         load_corpus(tmp_path / "c", window_length=wrong_length)
 
 
+@pytest.mark.parametrize("sidecar", ["[]", '"x"'])
+def test_load_rejects_a_provenance_file_that_is_not_an_object(tmp_path, sidecar):
+    save_corpus(small_corpus(), tmp_path / "c")
+    (tmp_path / "c" / "provenance.json").write_text(sidecar)
+    with pytest.raises(CorpusLoadError,
+                       match=r"provenance\.json: must hold a JSON object"):
+        load_corpus(tmp_path / "c", window_length=12)
+
+
 def test_load_reports_file_and_line_for_bad_manifest(tmp_path):
     corpus = small_corpus()
     save_corpus(corpus, tmp_path / "c")

@@ -196,6 +196,12 @@ def test_serialization_round_trip(tmp_path):
         assert a.mode == b.mode
 
 
-def test_serialization_rejects_foreign_payloads():
+def test_serialization_rejects_foreign_payloads(tmp_path):
     with pytest.raises(ValueError, match="format"):
         suite_from_dict({"format": "nope", "version": 1})
+    with pytest.raises(ValueError, match="must be a JSON object, got str"):
+        suite_from_dict("x")
+    path = tmp_path / "suite.json"
+    path.write_text('{"format": "regression_suite", "version": 1}')
+    with pytest.raises(ValueError, match=r"suite\.json: .* no key 'models'"):
+        load_suite(path)

@@ -7,7 +7,6 @@ from scipy import integrate
 from summertime.errors import FitError
 from summertime.vbgmm import (
     FitSettings,
-    MixturePrior,
     Standardizer,
     assign,
     fit_mixture,
@@ -117,12 +116,21 @@ def test_fit_rejects_bad_inputs():
         fit_mixture(np.array([[np.inf, 0.0], [0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(FitError, match="at least 2"):
         fit_mixture(np.array([[1.0, 2.0]]))
+    data = three_blob_data(np.random.default_rng(0), per_cluster=10)
+    for settings, field in [
+        (FitSettings(max_iter=0), "max_iter"),
+        (FitSettings(weight_floor=2.0), "weight_floor"),
+        (FitSettings(tol=0.0), "tol"),
+        (FitSettings(k_max=0), "k_max"),
+    ]:
+        with pytest.raises(FitError, match=f"^{field} must be"):
+            fit_mixture(data, settings)
 
 
 def test_prior_degrees_of_freedom_floor():
-    prior = MixturePrior(nu0=1.0)
+    data = np.random.default_rng(0).normal(size=(30, 3))
     with pytest.raises(FitError, match="degrees of freedom"):
-        prior.resolved(dim=3)
+        fit_mixture(data, FitSettings(nu0=1.0))
 
 
 def test_standardizer_guards_constant_columns():
@@ -160,6 +168,10 @@ def test_serialization_round_trip(tmp_path):
 def test_serialization_rejects_foreign_payloads():
     with pytest.raises(ValueError, match="format"):
         model_from_dict({"format": "something_else", "version": 1})
+    with pytest.raises(ValueError, match="no key 'standardizer'"):
+        model_from_dict({"format": "vbgmm", "version": 1})
+    with pytest.raises(ValueError, match="must be a JSON object, got list"):
+        model_from_dict([])
 
 
 def test_model_dict_is_json_clean():
