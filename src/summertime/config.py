@@ -173,31 +173,41 @@ def _section_dict(section: Any) -> dict:
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
-def _check_type(where: str, hint: Any, value: Any) -> None:
+def _checked(where: str, hint: Any, value: Any) -> Any:
     """Reject a JSON value of the wrong type for an int, float or str field
     (float fields take integers too, ``X | None`` fields take null, number
-    fields never take booleans); ``validate`` checks the other fields."""
+    fields never take booleans); ``validate`` checks the other fields.
+
+    An integer given for a float field comes back as a float, so ``1`` and
+    ``1.0`` build the same config with the same fingerprint.
+    """
     options = get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
     nullable = type(None) in options
     kind = next((t for t in options if t in _TYPE_NAMES), None)
     if kind is None or (value is None and nullable):
-        return
+        return value
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigError(
             f"{where} must be {_TYPE_NAMES[kind]}{' or null' if nullable else ''}"
         )
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where} is too large for a number") from None
 
 
 def _build_section(name: str, cls: type, payload: Any) -> Any:
     if not isinstance(payload, dict):
         raise ConfigError(f"section {name!r} must be an object")
     hints = get_type_hints(cls)
+    values = {}
     for key, value in payload.items():
         if key not in hints:
             raise ConfigError(f"unknown config key {name}.{key}")
-        _check_type(f"{name}.{key}", hints[key], value)
-    values = dict(payload)
+        values[key] = _checked(f"{name}.{key}", hints[key], value)
     if name == "evaluation" and "methods" in values:
         methods = values["methods"]
         if isinstance(methods, str):

@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -298,6 +298,21 @@ def _extract_window_targets(met_cells: list[str], window_length: int,
     return targets
 
 
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What each key of provenance.json must hold, and the test for it.
+_PROVENANCE_TYPES = {
+    "label_set": ("a list of strings",
+                  lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    "axis_count": ("an integer", _is_int),
+    "window_length": ("an integer", _is_int),
+    "seed": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "provenance": ("a string", lambda v: isinstance(v, str)),
+}
+
+
 def load_corpus(path: str | Path,
                 window_length: int = DEFAULT_WINDOW_LENGTH) -> Corpus:
     """Load and validate a corpus from ``path`` (a directory or manifest file)."""
@@ -318,6 +333,11 @@ def load_corpus(path: str | Path,
             raise CorpusLoadError(
                 f"{meta_path}: must hold a JSON object, got {type(meta).__name__}"
             )
+        for key, (kind, holds) in _PROVENANCE_TYPES.items():
+            if key in meta and not holds(meta[key]):
+                raise CorpusLoadError(
+                    f"{meta_path}: {key} must be {kind}, got {meta[key]!r}"
+                )
     if "window_length" in meta and meta["window_length"] != window_length:
         raise CorpusLoadError(
             f"{meta_path}: corpus was saved with window_length "

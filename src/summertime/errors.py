@@ -41,7 +41,7 @@ def reading_payload(payload: Any, fmt: str, noun: str) -> Iterator[None]:
 
     Malformed payloads raise ValueError naming the cause: a non-object
     document, a foreign format, an unknown version, or (from inside the
-    block) a missing key.
+    block) a missing key or a value of the wrong type.
     """
     if not isinstance(payload, dict):
         raise ValueError(
@@ -55,6 +55,10 @@ def reading_payload(payload: Any, fmt: str, noun: str) -> Iterator[None]:
         yield
     except KeyError as exc:
         raise ValueError(f"{noun} payload has no key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        raise ValueError(
+            f"{noun} payload has a value of the wrong type: {exc}"
+        ) from None
 
 
 def save_payload(payload: dict, path: str | Path) -> None:

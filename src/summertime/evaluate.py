@@ -6,7 +6,9 @@ models) are refit from the remaining subjects only, then applied to the
 held-out bouts.  Classification is scored per bout; a window-weighted view
 (each bout's prediction counted once per window) is reported alongside.
 
-Five method pipelines share this harness:
+Five method pipelines share this harness.  The harness featurizes each
+fold's train and test split and hands the window features to the method's
+runner:
 
 * ``summertime``     -- cluster-ratio summaries -> summary classifier ->
                         per-class regression on summary-augmented designs.
@@ -20,6 +22,9 @@ Five method pipelines share this harness:
 * ``ann_regression`` -- voting classifier; a linear-head network regressing
                         MET directly from window features.
 
+The four voting baselines share one runner and differ only in their MET
+estimator.
+
 Reports are deterministic functions of (corpus, config): per-fold seeds are
 derived from the config seeds, and folds run serially in fold order.
 """
@@ -28,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -199,18 +204,20 @@ def fit_pipeline(train_feats: Sequence[WindowFeatures], labels: tuple[str, ...],
 # --------------------------------------------------------------------------
 
 FoldRunner = Callable[
-    [Corpus, Corpus, PipelineConfig, StageSeeds, tuple[str, ...]],
+    [list[WindowFeatures], list[WindowFeatures], PipelineConfig, StageSeeds,
+     tuple[str, ...]],
     list[tuple[str, float | None]],
 ]
-# A runner maps one fold to [(predicted_class, predicted_met or None)] in
-# test-bout order.  Registered under METHOD_RUNNERS; tests may inject stubs.
+# A runner maps one fold's (train, test) window features to
+# [(predicted_class, predicted_met or None)] in test-bout order.  Registered
+# under METHOD_RUNNERS; tests may inject stubs.
 
-
-def _window_labels(features: Sequence[WindowFeatures]) -> list[str]:
-    labels: list[str] = []
-    for feat in features:
-        labels.extend([feat.activity_class] * feat.window_count)
-    return labels
+MetEstimator = Callable[
+    [Sequence[WindowFeatures], PipelineConfig, StageSeeds, tuple[str, ...]],
+    Callable[[str, WindowFeatures], float],
+]
+# An estimator fits on the training features and returns
+# met_of(predicted_class, test_bout_features).
 
 
 def _target_rows(features: Sequence[WindowFeatures]) -> tuple[np.ndarray, np.ndarray]:
@@ -221,11 +228,10 @@ def _target_rows(features: Sequence[WindowFeatures]) -> tuple[np.ndarray, np.nda
     return np.vstack(xs), np.concatenate(ys)
 
 
-def _run_summertime(train: Corpus, test: Corpus, config: PipelineConfig,
+def _run_summertime(train_feats: list[WindowFeatures],
+                    test_feats: list[WindowFeatures], config: PipelineConfig,
                     seeds: StageSeeds, labels: tuple[str, ...]
                     ) -> list[tuple[str, float | None]]:
-    train_feats = featurize_corpus(train, config.window_length)
-    test_feats = featurize_corpus(test, config.window_length)
     fitted = fit_pipeline(train_feats, labels, config, seeds.mixture,
                           seeds.classifier)
     augmented = config.regression.mode == "augmented"
@@ -241,79 +247,61 @@ def _run_summertime(train: Corpus, test: Corpus, config: PipelineConfig,
     return results
 
 
-def _fit_voting_classifier(train_feats, config, seeds, labels):
-    return classify.train_mlp(
-        stack_features(train_feats),
-        _window_labels(train_feats),
-        class_labels=labels,
-        settings=config.mlp,
-        seed=seeds.classifier,
-        standardize_inputs=True,
-    )
-
-
-def _run_voting_fivereg(train: Corpus, test: Corpus, config: PipelineConfig,
-                        seeds: StageSeeds, labels: tuple[str, ...]
-                        ) -> list[tuple[str, float | None]]:
-    train_feats = featurize_corpus(train, config.window_length)
-    test_feats = featurize_corpus(test, config.window_length)
-    model = _fit_voting_classifier(train_feats, config, seeds, labels)
+def _per_class_ols(train_feats, config, seeds, labels):
+    """``ann_voting``, ``fivereg_ann``: OLS of the predicted class, window-only."""
     suite = regress.fit_regression_suite(train_feats, None, labels)
-    results = []
-    for feat in test_feats:
-        prediction = classify.classify_bout_voting(model, feat.matrix)
-        met = regress.predict_bout_met(
-            suite, prediction.label, feat, None, config.regression.aggregation
-        )
-        results.append((prediction.label, met))
-    return results
+    how = config.regression.aggregation
+    return lambda label, feat: regress.predict_bout_met(suite, label, feat, None, how)
 
 
-def _run_linreg_local(train: Corpus, test: Corpus, config: PipelineConfig,
-                      seeds: StageSeeds, labels: tuple[str, ...]
-                      ) -> list[tuple[str, float | None]]:
-    train_feats = featurize_corpus(train, config.window_length)
-    test_feats = featurize_corpus(test, config.window_length)
-    model = _fit_voting_classifier(train_feats, config, seeds, labels)
+def _global_ols(train_feats, config, seeds, labels):
+    """``linreg_local``: one OLS over every training window, no class routing."""
     x, y = _target_rows(train_feats)
     beta = regress.fit_ols(regress.build_design_rows(x, None), y)
-    results = []
-    for feat in test_feats:
-        prediction = classify.classify_bout_voting(model, feat.matrix)
-        per_window = regress.build_design_rows(feat.matrix, None) @ beta
-        met = max(regress.aggregate(per_window, config.regression.aggregation), 0.0)
-        results.append((prediction.label, met))
-    return results
-
-
-def _run_ann_regression(train: Corpus, test: Corpus, config: PipelineConfig,
-                        seeds: StageSeeds, labels: tuple[str, ...]
-                        ) -> list[tuple[str, float | None]]:
-    train_feats = featurize_corpus(train, config.window_length)
-    test_feats = featurize_corpus(test, config.window_length)
-    model = _fit_voting_classifier(train_feats, config, seeds, labels)
-    x, y = _target_rows(train_feats)
-    regressor = classify.train_mlp(
-        x, y, class_labels=None,
-        settings=config.mlp,
-        seed=seeds.regressor,
-        standardize_inputs=True,
+    how = config.regression.aggregation
+    return lambda label, feat: max(
+        regress.aggregate(regress.build_design_rows(feat.matrix, None) @ beta, how), 0.0
     )
-    results = []
-    for feat in test_feats:
-        prediction = classify.classify_bout_voting(model, feat.matrix)
-        per_window = classify.predict_values(regressor, feat.matrix)
-        met = regress.aggregate(per_window, config.regression.aggregation)
-        results.append((prediction.label, met))
-    return results
+
+
+def _mlp_regressor(train_feats, config, seeds, labels):
+    """``ann_regression``: a linear-head network on window features."""
+    x, y = _target_rows(train_feats)
+    regressor = classify.train_mlp(x, y, class_labels=None, settings=config.mlp,
+                                   seed=seeds.regressor, standardize_inputs=True)
+    how = config.regression.aggregation
+    return lambda label, feat: regress.aggregate(
+        classify.predict_values(regressor, feat.matrix), how
+    )
+
+
+def _voting(fit_met: MetEstimator) -> FoldRunner:
+    """A baseline runner: a per-window classifier whose majority vote labels
+    each test bout, and ``fit_met``'s estimate of the bout's MET."""
+    def run(train_feats, test_feats, config, seeds, labels):
+        classifier = classify.train_mlp(
+            stack_features(train_feats),
+            [f.activity_class for f in train_feats for _ in range(f.window_count)],
+            class_labels=labels,
+            settings=config.mlp,
+            seed=seeds.classifier,
+            standardize_inputs=True,
+        )
+        met_of = fit_met(train_feats, config, seeds, labels)
+        results = []
+        for feat in test_feats:
+            label = classify.classify_bout_voting(classifier, feat.matrix).label
+            results.append((label, met_of(label, feat)))
+        return results
+    return run
 
 
 METHOD_RUNNERS: dict[str, FoldRunner] = {
     "summertime": _run_summertime,
-    "ann_voting": _run_voting_fivereg,
-    "fivereg_ann": _run_voting_fivereg,
-    "linreg_local": _run_linreg_local,
-    "ann_regression": _run_ann_regression,
+    "ann_voting": _voting(_per_class_ols),
+    "fivereg_ann": _voting(_per_class_ols),
+    "linreg_local": _voting(_global_ols),
+    "ann_regression": _voting(_mlp_regressor),
 }
 
 
@@ -338,36 +326,33 @@ def _run_fold(runner: FoldRunner, fold_index: int, train: Corpus, test: Corpus,
               labels: tuple[str, ...]) -> tuple[FoldSummary, list[BoutOutcome]]:
     test_subject = test.bouts[0].subject_id
     try:
-        predictions = runner(train, test, config, seeds, labels)
+        train_feats = featurize_corpus(train, config.window_length)
+        test_feats = featurize_corpus(test, config.window_length)
+        predictions = runner(train_feats, test_feats, config, seeds, labels)
     except SummertimeError as exc:
         raise EvaluationError(
             f"fold {fold_index} (test subject {test_subject}): {exc}"
         ) from exc
-    if len(predictions) != len(test.bouts):
+    if len(predictions) != len(test_feats):
         raise EvaluationError(
             f"fold {fold_index}: runner returned {len(predictions)} predictions "
-            f"for {len(test.bouts)} test bouts"
+            f"for {len(test_feats)} test bouts"
         )
     aggregation = config.regression.aggregation
-    outcomes = []
-    for bout, (predicted_class, predicted_met) in zip(test.bouts, predictions):
-        window_count = bout.sample_count // config.window_length
-        actual_met = None
-        if bout.targets is not None:
-            actual = np.asarray(bout.targets, dtype=float)[:window_count]
-            actual_met = regress.aggregate(actual, aggregation)
-        outcomes.append(
-            BoutOutcome(
-                fold_index=fold_index,
-                bout_id=bout.bout_id,
-                subject_id=bout.subject_id,
-                actual_class=bout.activity_class,
-                predicted_class=predicted_class,
-                window_count=window_count,
-                actual_met=actual_met,
-                predicted_met=predicted_met,
-            )
+    outcomes = [
+        BoutOutcome(
+            fold_index=fold_index,
+            bout_id=feat.bout_id,
+            subject_id=feat.subject_id,
+            actual_class=feat.activity_class,
+            predicted_class=predicted_class,
+            window_count=feat.window_count,
+            actual_met=(None if feat.targets is None
+                        else regress.aggregate(feat.targets, aggregation)),
+            predicted_met=predicted_met,
         )
+        for feat, (predicted_class, predicted_met) in zip(test_feats, predictions)
+    ]
     summary = FoldSummary(
         fold_index=fold_index,
         test_subject=test_subject,
@@ -382,7 +367,8 @@ def run_loso(corpus: Corpus, method: str, config: PipelineConfig,
     """Evaluate one method across all LOSO folds of the corpus, in fold order.
 
     ``runner`` overrides the registry entry for ``method``; tests use this to
-    inject oracle stubs.
+    inject oracle stubs.  It is called once per fold with the fold's train
+    and test ``WindowFeatures`` (see ``FoldRunner``).
     """
     if runner is None:
         if method not in METHOD_RUNNERS:
@@ -542,43 +528,7 @@ def _jsonify(value):
 
 
 def report_to_dict(report: EvaluationReport) -> dict:
-    return _jsonify(
-        {
-            "method": report.method,
-            "labels": list(report.labels),
-            "confusion": report.confusion,
-            "recall_per_class": report.recall_per_class,
-            "overall_recall": report.overall_recall,
-            "confusion_windows": report.confusion_windows,
-            "recall_windows": report.recall_windows,
-            "rmse_per_class": report.rmse_per_class,
-            "rmse_overall": report.rmse_overall,
-            "fold_count": report.fold_count,
-            "config_fingerprint": report.config_fingerprint,
-            "folds": [
-                {
-                    "fold_index": f.fold_index,
-                    "test_subject": f.test_subject,
-                    "train_fingerprint": f.train_fingerprint,
-                    "test_bout_ids": list(f.test_bout_ids),
-                }
-                for f in report.folds
-            ],
-            "outcomes": [
-                {
-                    "fold_index": o.fold_index,
-                    "bout_id": o.bout_id,
-                    "subject_id": o.subject_id,
-                    "actual_class": o.actual_class,
-                    "predicted_class": o.predicted_class,
-                    "window_count": o.window_count,
-                    "actual_met": o.actual_met,
-                    "predicted_met": o.predicted_met,
-                }
-                for o in report.outcomes
-            ],
-        }
-    )
+    return _jsonify({**asdict(report), "overall_recall": report.overall_recall})
 
 
 def write_report_files(comparison: dict, out_dir: str | Path) -> list[Path]:

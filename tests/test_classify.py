@@ -251,6 +251,8 @@ def test_serialization_rejects_foreign_payloads(tmp_path):
         model_from_dict({"format": "not_mlp", "version": 1})
     with pytest.raises(ValueError, match="must be a JSON object, got list"):
         model_from_dict([])
+    with pytest.raises(ValueError, match="network payload has a value of the wrong type"):
+        model_from_dict({"format": "mlp", "version": 1, "standardizer": "x"})
     path = tmp_path / "mlp.json"
     path.write_text('{"format": "mlp", "version": 1}')
     with pytest.raises(ValueError, match=r"mlp\.json: .* no key 'w1'"):

@@ -86,6 +86,15 @@ def test_summarize_without_model_fails_cleanly(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert f"{model}: mixture model payload has no key 'standardizer'" in err
+    model.write_text(json.dumps({
+        "format": "vbgmm", "version": 1, "weights": [1.0], "means": [[0.0]],
+        "covariances": [[[1.0]]], "standardizer": [],
+    }))
+    code = main(["summarize", "--config", cfg, "--model", str(model),
+                 "--out", str(tmp_path / "empty")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{model}: mixture model payload has a value of the wrong type" in err
 
 
 def test_run_writes_reports_and_honors_methods_flag(tmp_path, capsys):

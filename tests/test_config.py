@@ -58,6 +58,7 @@ def test_value_validation_messages():
         ({"synthetic": {"subjects": None}}, "synthetic.subjects must be an integer"),
         ({"io": {"out": 5}}, "io.out must be a string"),
         ({"io": {"corpus": ["a"]}}, "io.corpus must be a string or null"),
+        ({"gmm": {"tol": 10**400}}, "gmm.tol is too large for a number"),
     ]:
         with pytest.raises(ConfigError) as info:
             config_from_dict(payload)
@@ -75,6 +76,14 @@ def test_value_validation_messages():
     # Numbers where a float is due, and null where None is allowed, pass.
     config = config_from_dict({"gmm": {"tol": 1, "nu0": None, "weight_floor": 0.5}})
     assert config.gmm.tol == 1 and config.gmm.nu0 is None
+
+
+def test_integer_in_a_float_field_has_the_float_fingerprint():
+    whole = config_from_dict({"gmm": {"beta0": 1}, "mlp": {"learning_rate": 1}})
+    point = config_from_dict({"gmm": {"beta0": 1.0}, "mlp": {"learning_rate": 1.0}})
+    assert whole == point
+    assert whole.fingerprint() == point.fingerprint()
+    assert type(whole.gmm.beta0) is float and type(whole.mlp.learning_rate) is float
 
 
 def test_method_registry_names():

@@ -100,13 +100,29 @@ def test_load_rejects_a_window_length_other_than_the_saved_one(tmp_path, wrong_l
         load_corpus(tmp_path / "c", window_length=wrong_length)
 
 
-@pytest.mark.parametrize("sidecar", ["[]", '"x"'])
+BAD_SIDECARS = {
+    "[]": "must hold a JSON object, got list",
+    '"x"': "must hold a JSON object, got str",
+    '{"label_set": 5}': "label_set must be a list of strings, got 5",
+    '{"label_set": "SedLHH"}': "label_set must be a list of strings, got 'SedLHH'",
+    '{"label_set": ["Sed", 1]}': "label_set must be a list of strings, got ['Sed', 1]",
+    '{"axis_count": "3"}': "axis_count must be an integer, got '3'",
+    '{"window_length": true}': "window_length must be an integer, got True",
+    '{"seed": 1.5}': "seed must be an integer or null, got 1.5",
+    '{"provenance": 7}': "provenance must be a string, got 7",
+}
+
+
+@pytest.mark.parametrize("sidecar", list(BAD_SIDECARS))
 def test_load_rejects_a_provenance_file_that_is_not_an_object(tmp_path, sidecar):
+    """A provenance.json that is not an object, or whose keys hold the wrong
+    types, fails naming the file and the key."""
     save_corpus(small_corpus(), tmp_path / "c")
-    (tmp_path / "c" / "provenance.json").write_text(sidecar)
-    with pytest.raises(CorpusLoadError,
-                       match=r"provenance\.json: must hold a JSON object"):
+    meta_path = tmp_path / "c" / "provenance.json"
+    meta_path.write_text(sidecar)
+    with pytest.raises(CorpusLoadError) as info:
         load_corpus(tmp_path / "c", window_length=12)
+    assert str(info.value) == f"{meta_path}: {BAD_SIDECARS[sidecar]}"
 
 
 def test_load_reports_file_and_line_for_bad_manifest(tmp_path):

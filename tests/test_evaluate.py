@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from summertime.config import PipelineConfig, apply_overrides
+from summertime.config import METHOD_NAMES, PipelineConfig, apply_overrides
 from summertime.dataset import Corpus, SyntheticConfig, generate_synthetic
 from summertime.errors import EvaluationError, FitError
 from summertime.evaluate import (
+    METHOD_RUNNERS,
     compare_methods,
     compare_regression_modes,
     corpus_fingerprint,
@@ -31,12 +32,7 @@ def config():
 
 def oracle_runner(train, test, config, seeds, labels):
     """Copies the truth: every bout gets its own class and exact mean MET."""
-    out = []
-    for bout in test.bouts:
-        windows = bout.sample_count // config.window_length
-        met = float(np.mean(bout.targets[:windows]))
-        out.append((bout.activity_class, met))
-    return out
+    return [(feat.activity_class, float(np.mean(feat.targets))) for feat in test]
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +136,10 @@ def test_single_subject_corpus_is_rejected(corpus, config):
         run_loso(solo, "stub", config, runner=oracle_runner)
 
 
+def test_every_config_method_has_a_runner():
+    assert set(METHOD_RUNNERS) == set(METHOD_NAMES)
+
+
 def test_unknown_method_is_rejected(corpus, config):
     with pytest.raises(EvaluationError, match="unknown method"):
         run_loso(corpus, "not_a_method", config)
@@ -147,7 +147,7 @@ def test_unknown_method_is_rejected(corpus, config):
 
 def test_fold_failures_carry_fold_context(corpus, config):
     def broken(train, test, config, seeds, labels):
-        if test.bouts[0].subject_id == sorted(corpus.subject_ids)[1]:
+        if test[0].subject_id == sorted(corpus.subject_ids)[1]:
             raise FitError("synthetic failure")
         return oracle_runner(train, test, config, seeds, labels)
 
@@ -166,11 +166,16 @@ def test_wrong_prediction_count_is_rejected(corpus, config):
 def test_report_dict_is_json_clean_with_none_for_nan(corpus, config):
     def classless(train, test, config, seeds, labels):
         # always predict the first label and give no MET estimate
-        return [(labels[0], None) for _ in test.bouts]
+        return [(labels[0], None) for _ in test]
 
     report = run_loso(corpus, "stub", config, runner=classless)
     payload = report_to_dict(report)
     text = json.dumps(payload, allow_nan=False)  # raises if NaN leaks through
+    assert set(payload) == {
+        "method", "labels", "confusion", "recall_per_class", "overall_recall",
+        "confusion_windows", "recall_windows", "rmse_per_class", "rmse_overall",
+        "fold_count", "config_fingerprint", "folds", "outcomes",
+    }
     assert payload["rmse_overall"] is None
     assert all(v is None for v in payload["rmse_per_class"])
     assert json.loads(text)["method"] == "stub"

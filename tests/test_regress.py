@@ -201,6 +201,11 @@ def test_serialization_rejects_foreign_payloads(tmp_path):
         suite_from_dict({"format": "nope", "version": 1})
     with pytest.raises(ValueError, match="must be a JSON object, got str"):
         suite_from_dict("x")
+    for models in (["x"], 5):
+        with pytest.raises(ValueError,
+                           match="regression suite payload has a value of the wrong type"):
+            suite_from_dict({"format": "regression_suite", "version": 1,
+                             "models": models})
     path = tmp_path / "suite.json"
     path.write_text('{"format": "regression_suite", "version": 1}')
     with pytest.raises(ValueError, match=r"suite\.json: .* no key 'models'"):

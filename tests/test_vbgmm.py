@@ -172,6 +172,11 @@ def test_serialization_rejects_foreign_payloads():
         model_from_dict({"format": "vbgmm", "version": 1})
     with pytest.raises(ValueError, match="must be a JSON object, got list"):
         model_from_dict([])
+    with pytest.raises(ValueError,
+                       match="mixture model payload has a value of the wrong type"):
+        model_from_dict({"format": "vbgmm", "version": 1, "weights": [1.0],
+                         "means": [[0.0]], "covariances": [[[1.0]]],
+                         "standardizer": []})
 
 
 def test_model_dict_is_json_clean():
