@@ -9,8 +9,10 @@ The same network core serves two jobs:
   regression from window features.
 
 Everything is explicit numpy: forward pass, backprop, L2 penalty on the two
-weight matrices (biases are not decayed).  ``loss_and_gradients`` is exposed
-so gradients can be checked against finite differences.
+weight matrices (biases are not decayed).  One gradient routine serves both
+the SGD step in ``train_mlp`` and ``loss_and_gradients``, which is exposed so
+gradients can be checked against finite differences.  The step computes no
+loss; the per-epoch ``training_log`` entry comes from a forward pass alone.
 """
 
 from __future__ import annotations
@@ -45,6 +47,9 @@ class MlpSettings:
             raise FitError("batch_size must be positive")
         if self.l2_penalty < 0:
             raise FitError("l2_penalty must be nonnegative")
+        for name in ("learning_rate", "l2_penalty"):
+            if not math.isfinite(getattr(self, name)):
+                raise FitError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -71,10 +76,28 @@ class MlpModel:
             raise ValueError(f"unknown head {self.head!r}")
         if self.head == "softmax" and len(self.class_labels) < 2:
             raise ValueError("softmax head needs >= 2 class labels")
+        if self.w1.ndim != 2 or self.w2.ndim != 2:
+            raise ValueError(
+                f"w1 and w2 must be matrices, got shapes {self.w1.shape} and {self.w2.shape}"
+            )
         if self.w1.shape[1] != self.w2.shape[0]:
             raise ValueError("hidden layer shapes disagree")
+        for bias, weights in (("b1", self.w1), ("b2", self.w2)):
+            if getattr(self, bias).shape != (weights.shape[1],):
+                raise ValueError(
+                    f"{bias} has shape {getattr(self, bias).shape}, "
+                    f"layer width is {weights.shape[1]}"
+                )
         if self.head == "softmax" and self.w2.shape[1] != len(self.class_labels):
             raise ValueError("output width must match the class count")
+        if self.head == "linear" and self.w2.shape[1] != 1:
+            raise ValueError(f"linear head needs output width 1, got {self.w2.shape[1]}")
+        if (self.input_standardizer is not None
+                and self.input_standardizer.mean.shape != (self.w1.shape[0],)):
+            raise ValueError(
+                f"input standardizer has shape {self.input_standardizer.mean.shape}, "
+                f"network takes {self.w1.shape[0]} inputs"
+            )
 
     @property
     def input_dim(self) -> int:
@@ -87,15 +110,55 @@ class ClassPrediction:
     probabilities: np.ndarray
 
 
-def _forward(params: dict[str, np.ndarray], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    hidden = np.tanh(x @ params["w1"] + params["b1"])
-    return hidden, hidden @ params["w2"] + params["b2"]
+_PARAM_KEYS = ("w1", "b1", "w2", "b2")
+
+
+def _forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+             b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    hidden = np.tanh(x @ w1 + b1)
+    return hidden, hidden @ w2 + b2
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=1, keepdims=True)
+
+
+def _loss(output: np.ndarray, y: np.ndarray, head: str, w1: np.ndarray,
+          w2: np.ndarray, l2_penalty: float) -> float:
+    """Mean data loss of a forward pass plus 0.5 * l2 * (|w1|^2 + |w2|^2).
+
+    The penalty term is formed even when ``l2_penalty`` is 0, so non-finite
+    weights make the loss NaN and training reports divergence.
+    """
+    if head == "softmax":
+        probs = _softmax(output)
+        data_loss = float(-np.sum(y * np.log(np.maximum(probs, 1e-300))) / len(y))
+    else:
+        data_loss = float(0.5 * np.mean((output - y) ** 2))
+    return data_loss + 0.5 * l2_penalty * (
+        float(np.sum(w1 ** 2)) + float(np.sum(w2 ** 2))
+    )
+
+
+def _output_delta(output: np.ndarray, y: np.ndarray, head: str) -> np.ndarray:
+    """Gradient of the mean data loss with respect to the network outputs."""
+    if head == "softmax":
+        return (_softmax(output) - y) / len(y)
+    return (output - y) / len(y)
+
+
+def _gradients(x: np.ndarray, hidden: np.ndarray, delta_out: np.ndarray,
+               w1: np.ndarray, w2: np.ndarray, l2_penalty: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Backpropagate an output delta to (grad_w1, grad_b1, grad_w2, grad_b2)."""
+    grad_w2 = hidden.T @ delta_out + l2_penalty * w2
+    grad_b2 = delta_out.sum(axis=0)
+    delta_hidden = (delta_out @ w2.T) * (1.0 - hidden ** 2)
+    grad_w1 = x.T @ delta_hidden + l2_penalty * w1
+    grad_b1 = delta_hidden.sum(axis=0)
+    return grad_w1, grad_b1, grad_w2, grad_b2
 
 
 def loss_and_gradients(params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray,
@@ -105,27 +168,14 @@ def loss_and_gradients(params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarr
     For the softmax head ``y`` is (N, C) one-hot and the data term is mean
     cross-entropy; for the linear head ``y`` is (N, 1) and the data term is
     0.5 * mean squared error.  The penalty 0.5 * l2 * (|w1|^2 + |w2|^2) is
-    added in both cases.
+    added in both cases.  The gradients come from the routine that
+    ``train_mlp`` steps with.
     """
-    n = x.shape[0]
-    hidden, output = _forward(params, x)
-    if head == "softmax":
-        probs = _softmax(output)
-        data_loss = float(-np.sum(y * np.log(np.maximum(probs, 1e-300))) / n)
-        delta_out = (probs - y) / n
-    else:
-        diff = output - y
-        data_loss = float(0.5 * np.mean(diff ** 2))
-        delta_out = diff / n
-    loss = data_loss + 0.5 * l2_penalty * (
-        float(np.sum(params["w1"] ** 2)) + float(np.sum(params["w2"] ** 2))
-    )
-    grad_w2 = hidden.T @ delta_out + l2_penalty * params["w2"]
-    grad_b2 = delta_out.sum(axis=0)
-    delta_hidden = (delta_out @ params["w2"].T) * (1.0 - hidden ** 2)
-    grad_w1 = x.T @ delta_hidden + l2_penalty * params["w1"]
-    grad_b1 = delta_hidden.sum(axis=0)
-    return loss, {"w1": grad_w1, "b1": grad_b1, "w2": grad_w2, "b2": grad_b2}
+    w1, b1, w2, b2 = (params[key] for key in _PARAM_KEYS)
+    hidden, output = _forward(x, w1, b1, w2, b2)
+    loss = _loss(output, y, head, w1, w2, l2_penalty)
+    grads = _gradients(x, hidden, _output_delta(output, y, head), w1, w2, l2_penalty)
+    return loss, dict(zip(_PARAM_KEYS, grads))
 
 
 def _init_params(input_dim: int, hidden: int, output_dim: int,
@@ -163,6 +213,8 @@ def train_mlp(inputs: np.ndarray, targets: Sequence[str] | np.ndarray,
         standardizer = Standardizer.fit(inputs)
         inputs = standardizer.transform(inputs)
 
+    if len(targets) != len(inputs):
+        raise FitError(f"{len(inputs)} inputs but {len(targets)} targets")
     if class_labels is not None:
         head = "softmax"
         class_labels = tuple(class_labels)
@@ -183,26 +235,33 @@ def train_mlp(inputs: np.ndarray, targets: Sequence[str] | np.ndarray,
     else:
         head = "linear"
         class_labels = ()
-        y = np.asarray(targets, dtype=float).reshape(-1, 1)
+        y = np.asarray(targets, dtype=float)
+        if y.ndim != 1:
+            raise FitError(f"regression targets must be 1-d, got shape {y.shape}")
         if not np.all(np.isfinite(y)):
             raise FitError("training targets contain non-finite values")
+        y = y.reshape(-1, 1)
         output_dim = 1
-    if len(y) != len(inputs):
-        raise FitError(f"{len(inputs)} inputs but {len(y)} targets")
 
     rng = np.random.default_rng(seed)
     params = _init_params(inputs.shape[1], settings.hidden_units, output_dim, rng)
+    w1, b1, w2, b2 = (params[key] for key in _PARAM_KEYS)
     n = len(inputs)
+    lr, l2, size = settings.learning_rate, settings.l2_penalty, settings.batch_size
     training_log = []
     for _ in range(settings.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, settings.batch_size):
-            batch = order[start : start + settings.batch_size]
-            _, grads = loss_and_gradients(params, inputs[batch], y[batch],
-                                          head, settings.l2_penalty)
-            for key in params:
-                params[key] = params[key] - settings.learning_rate * grads[key]
-        epoch_loss, _ = loss_and_gradients(params, inputs, y, head, 0.0)
+        xs, ys = inputs[order], y[order]
+        for start in range(0, n, size):
+            x, t = xs[start : start + size], ys[start : start + size]
+            hidden, output = _forward(x, w1, b1, w2, b2)
+            g_w1, g_b1, g_w2, g_b2 = _gradients(
+                x, hidden, _output_delta(output, t, head), w1, w2, l2
+            )
+            w1, b1 = w1 - lr * g_w1, b1 - lr * g_b1
+            w2, b2 = w2 - lr * g_w2, b2 - lr * g_b2
+        _, output = _forward(inputs, w1, b1, w2, b2)
+        epoch_loss = _loss(output, y, head, w1, w2, 0.0)
         if not math.isfinite(epoch_loss):
             raise FitError(
                 "training diverged (non-finite loss); try a smaller learning rate"
@@ -210,14 +269,10 @@ def train_mlp(inputs: np.ndarray, targets: Sequence[str] | np.ndarray,
         training_log.append(epoch_loss)
 
     return MlpModel(
-        w1=params["w1"], b1=params["b1"], w2=params["w2"], b2=params["b2"],
+        w1=w1, b1=b1, w2=w2, b2=b2,
         head=head, class_labels=class_labels, input_standardizer=standardizer,
         training_log=tuple(training_log), seed=seed,
     )
-
-
-def _model_params(model: MlpModel) -> dict[str, np.ndarray]:
-    return {"w1": model.w1, "b1": model.b1, "w2": model.w2, "b2": model.b2}
 
 
 def _prepare(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
@@ -235,22 +290,27 @@ def predict_probabilities(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     """(N, C) class probabilities; softmax head only."""
     if model.head != "softmax":
         raise ValueError("probabilities are only defined for the softmax head")
-    _, output = _forward(_model_params(model), _prepare(model, inputs))
+    _, output = _forward(_prepare(model, inputs), model.w1, model.b1, model.w2, model.b2)
     return _softmax(output)
 
 
 def predict_class(model: MlpModel, inputs: np.ndarray) -> ClassPrediction:
-    """Single-input classification; ties break toward the lower class index."""
-    probs = predict_probabilities(model, inputs)[0]
-    return ClassPrediction(label=model.class_labels[int(np.argmax(probs))],
-                           probabilities=probs)
+    """Single-input classification; ties break toward the lower class index.
+
+    ``inputs`` is one feature vector, 1-d or a (1, K) matrix.
+    """
+    probs = predict_probabilities(model, inputs)
+    if len(probs) != 1:
+        raise ValueError(f"predict_class takes one input row, got {len(probs)}")
+    return ClassPrediction(label=model.class_labels[int(np.argmax(probs[0]))],
+                           probabilities=probs[0])
 
 
 def predict_values(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     """(N,) scalar outputs; linear head only."""
     if model.head != "linear":
         raise ValueError("scalar outputs are only defined for the linear head")
-    _, output = _forward(_model_params(model), _prepare(model, inputs))
+    _, output = _forward(_prepare(model, inputs), model.w1, model.b1, model.w2, model.b2)
     return output[:, 0]
 
 

@@ -86,6 +86,10 @@ class FitSettings:
             raise FitError("max_iter must be positive")
         if self.weight_floor is not None and not 0 < self.weight_floor < 1:
             raise FitError("weight_floor must be in (0, 1)")
+        for name in ("dirichlet_alpha0", "beta0", "nu0", "tol"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise FitError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from summertime.classify import (
     ClassPrediction,
     MlpModel,
     MlpSettings,
+    _init_params,
     classify_bout_voting,
     load_model,
     loss_and_gradients,
@@ -19,6 +20,7 @@ from summertime.classify import (
     train_mlp,
 )
 from summertime.errors import FitError
+from summertime.vbgmm import Standardizer
 
 
 def random_params(rng, input_dim, hidden, output_dim):
@@ -74,6 +76,48 @@ def test_l2_penalty_touches_weights_not_biases():
     np.testing.assert_allclose(fat["b1"], lean["b1"], atol=1e-12)
     np.testing.assert_allclose(fat["b2"], lean["b2"], atol=1e-12)
     np.testing.assert_allclose(fat["w1"] - lean["w1"], 0.5 * params["w1"], atol=1e-12)
+
+
+def reference_sgd(x, y, head, settings, seed):
+    """Plain minibatch descent on the objective, one loss_and_gradients per
+    batch and per epoch: what train_mlp must reproduce bit for bit."""
+    rng = np.random.default_rng(seed)
+    params = _init_params(x.shape[1], settings.hidden_units, y.shape[1], rng)
+    log = []
+    for _ in range(settings.epochs):
+        order = rng.permutation(len(x))
+        for start in range(0, len(x), settings.batch_size):
+            batch = order[start : start + settings.batch_size]
+            _, grads = loss_and_gradients(params, x[batch], y[batch], head,
+                                          settings.l2_penalty)
+            params = {k: p - settings.learning_rate * grads[k] for k, p in params.items()}
+        loss, _ = loss_and_gradients(params, x, y, head, 0.0)
+        log.append(loss)
+    return params, tuple(log)
+
+
+@pytest.mark.parametrize("head", ["softmax", "linear"])
+@pytest.mark.parametrize("n, batch_size, standardize", [(45, 8, True), (7, 32, False)])
+def test_training_matches_the_reference_descent(head, n, batch_size, standardize):
+    rng = np.random.default_rng(43)
+    x = rng.normal(3.0, 2.0, size=(n, 4))
+    settings = MlpSettings(hidden_units=6, epochs=12, batch_size=batch_size,
+                           learning_rate=0.05)
+    if head == "softmax":
+        labels = ("a", "b", "c")
+        targets = [labels[i % 3] for i in range(n)]
+        y = np.array([[float(t == label) for label in labels] for t in targets])
+    else:
+        labels = None
+        targets = rng.normal(size=n)
+        y = targets.reshape(-1, 1)
+    model = train_mlp(x, targets, class_labels=labels, settings=settings, seed=8,
+                      standardize_inputs=standardize)
+    x_ref = Standardizer.fit(x).transform(x) if standardize else x
+    params, log = reference_sgd(x_ref, y, head, settings, seed=8)
+    for key in ("w1", "b1", "w2", "b2"):
+        np.testing.assert_array_equal(getattr(model, key), params[key])
+    assert model.training_log == log
 
 
 def separable_data(rng, n_per=40):
@@ -167,6 +211,14 @@ def test_missing_class_is_an_error():
         train_mlp(x, ["a", "a", "a", "a"], class_labels=("a", "b"))
 
 
+@pytest.mark.parametrize("labels", [("a", "b"), None])
+@pytest.mark.parametrize("count", [4, 8])
+def test_target_count_must_match_the_inputs(labels, count):
+    targets = ["a", "b"] * (count // 2) if labels else np.zeros(count)
+    with pytest.raises(FitError, match=f"^6 inputs but {count} targets$"):
+        train_mlp(np.zeros((6, 2)), targets, class_labels=labels)
+
+
 def test_unknown_label_is_an_error():
     x = np.zeros((4, 2))
     with pytest.raises(FitError, match="unknown class"):
@@ -192,6 +244,9 @@ def test_input_standardizer_is_applied_at_predict_time():
     assert model.input_standardizer is not None
     assert predict_class(model, np.array([0.0, 0.0])).label == "near"
     assert predict_class(model, np.array([500.0, 500.0])).label == "far"
+    assert predict_class(model, np.array([[500.0, 500.0]])).label == "far"
+    with pytest.raises(ValueError, match="one input row, got 3"):
+        predict_class(model, x[:3])
 
 
 def test_voting_takes_the_modal_class():
@@ -253,6 +308,22 @@ def test_serialization_rejects_foreign_payloads(tmp_path):
         model_from_dict([])
     with pytest.raises(ValueError, match="network payload has a value of the wrong type"):
         model_from_dict({"format": "mlp", "version": 1, "standardizer": "x"})
+    linear = {"format": "mlp", "version": 1, "head": "linear",
+              "w1": np.zeros((2, 3)).tolist(), "b1": [0.0] * 3,
+              "w2": np.zeros((3, 1)).tolist(), "b2": [0.0]}
+    model_from_dict(linear)
+    for key, value, message in [
+        ("b1", [0.0] * 5, r"b1 has shape \(5,\), layer width is 3"),
+        ("b2", [0.0] * 7, r"b2 has shape \(7,\), layer width is 1"),
+        ("w2", np.zeros((3, 2)).tolist(), "b2 has shape"),
+        ("w1", [0.0, 0.0], r"w1 and w2 must be matrices, got shapes \(2,\) and \(3, 1\)"),
+        ("standardizer", {"mean": [0.0] * 5, "std": [1.0] * 5},
+         r"input standardizer has shape \(5,\), network takes 2 inputs"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            model_from_dict({**linear, key: value})
+    with pytest.raises(ValueError, match="linear head needs output width 1, got 2"):
+        model_from_dict({**linear, "w2": np.zeros((3, 2)).tolist(), "b2": [0.0] * 2})
     path = tmp_path / "mlp.json"
     path.write_text('{"format": "mlp", "version": 1}')
     with pytest.raises(ValueError, match=r"mlp\.json: .* no key 'w1'"):

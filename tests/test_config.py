@@ -69,6 +69,11 @@ def test_value_validation_messages():
         ({"gmm": {"weight_floor": 1.0}}, "gmm.weight_floor must be in (0, 1)"),
         ({"mlp": {"learning_rate": -1}}, "mlp.learning_rate must be positive"),
         ({"mlp": {"l2_penalty": -1}}, "mlp.l2_penalty must be nonnegative"),
+        ({"gmm": {"tol": float("nan")}}, "gmm.tol must be finite"),
+        ({"gmm": {"beta0": float("inf")}}, "gmm.beta0 must be finite"),
+        ({"gmm": {"nu0": float("inf")}}, "gmm.nu0 must be finite"),
+        ({"mlp": {"learning_rate": float("nan")}}, "mlp.learning_rate must be finite"),
+        ({"mlp": {"l2_penalty": float("inf")}}, "mlp.l2_penalty must be finite"),
     ]:
         with pytest.raises(ConfigError) as info:
             config_from_dict(payload)
@@ -106,6 +111,14 @@ def test_load_config_rejects_bad_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="broken.json"):
         load_config(path)
+    # json.load reads these literals; the stage settings reject them.
+    for text, message in [('{"gmm": {"tol": NaN}}', "gmm.tol must be finite"),
+                          ('{"mlp": {"learning_rate": Infinity}}',
+                           "mlp.learning_rate must be finite")]:
+        path.write_text(text)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == message
 
 
 def test_overrides_win_over_file_values():

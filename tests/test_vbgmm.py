@@ -122,6 +122,9 @@ def test_fit_rejects_bad_inputs():
         (FitSettings(weight_floor=2.0), "weight_floor"),
         (FitSettings(tol=0.0), "tol"),
         (FitSettings(k_max=0), "k_max"),
+        (FitSettings(tol=float("nan")), "tol"),
+        (FitSettings(beta0=float("inf")), "beta0"),
+        (FitSettings(dirichlet_alpha0=float("inf")), "dirichlet_alpha0"),
     ]:
         with pytest.raises(FitError, match=f"^{field} must be"):
             fit_mixture(data, settings)
