@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FitError, load_payload, reading_payload, save_payload
+from .errors import FitError, load_payload, reading_payload, require_finite, save_payload
 from .vbgmm import Standardizer
 
 
@@ -88,6 +88,7 @@ class MlpModel:
                     f"{bias} has shape {getattr(self, bias).shape}, "
                     f"layer width is {weights.shape[1]}"
                 )
+        require_finite({"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2})
         if self.head == "softmax" and self.w2.shape[1] != len(self.class_labels):
             raise ValueError("output width must match the class count")
         if self.head == "linear" and self.w2.shape[1] != 1:

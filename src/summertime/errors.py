@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the model-file reading
-and writing that every fitted stage shares."""
+"""Exception types shared across the package, and the model-file reading,
+writing and finite-value check that every fitted stage shares."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import json
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator, TypeVar
+
+import numpy as np
 
 T = TypeVar("T")
 
@@ -59,6 +61,13 @@ def reading_payload(payload: Any, fmt: str, noun: str) -> Iterator[None]:
         raise ValueError(
             f"{noun} payload has a value of the wrong type: {exc}"
         ) from None
+
+
+def require_finite(fields: dict[str, Any]) -> None:
+    """Raise ValueError naming the first field that holds a NaN or infinity."""
+    for name, value in fields.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
 
 
 def save_payload(payload: dict, path: str | Path) -> None:

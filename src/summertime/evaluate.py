@@ -220,29 +220,17 @@ MetEstimator = Callable[
 # met_of(predicted_class, test_bout_features).
 
 
-def _target_rows(features: Sequence[WindowFeatures]) -> tuple[np.ndarray, np.ndarray]:
-    xs = [f.matrix for f in features if f.targets is not None]
-    ys = [np.asarray(f.targets, dtype=float) for f in features if f.targets is not None]
-    if not xs:
-        raise EvaluationError("no training windows carry energy-expenditure targets")
-    return np.vstack(xs), np.concatenate(ys)
-
-
 def _run_summertime(train_feats: list[WindowFeatures],
                     test_feats: list[WindowFeatures], config: PipelineConfig,
                     seeds: StageSeeds, labels: tuple[str, ...]
                     ) -> list[tuple[str, float | None]]:
     fitted = fit_pipeline(train_feats, labels, config, seeds.mixture,
                           seeds.classifier)
-    augmented = config.regression.mode == "augmented"
     results = []
     for feat, summary in zip(test_feats, summarize_corpus(fitted.mixture, test_feats)):
         prediction = classify.predict_class(fitted.classifier, summary.ratios)
-        met = regress.predict_bout_met(
-            fitted.suite, prediction.label, feat,
-            summary.ratios if augmented else None,
-            config.regression.aggregation,
-        )
+        met = regress.predict_bout_met(fitted.suite, prediction.label, feat,
+                                       summary.ratios, config.regression.aggregation)
         results.append((prediction.label, met))
     return results
 
@@ -256,7 +244,7 @@ def _per_class_ols(train_feats, config, seeds, labels):
 
 def _global_ols(train_feats, config, seeds, labels):
     """``linreg_local``: one OLS over every training window, no class routing."""
-    x, y = _target_rows(train_feats)
+    x, y, _ = regress.stack_targets(train_feats)
     beta = regress.fit_ols(regress.build_design_rows(x, None), y)
     how = config.regression.aggregation
     return lambda label, feat: max(
@@ -266,7 +254,7 @@ def _global_ols(train_feats, config, seeds, labels):
 
 def _mlp_regressor(train_feats, config, seeds, labels):
     """``ann_regression``: a linear-head network on window features."""
-    x, y = _target_rows(train_feats)
+    x, y, _ = regress.stack_targets(train_feats)
     regressor = classify.train_mlp(x, y, class_labels=None, settings=config.mlp,
                                    seed=seeds.regressor, standardize_inputs=True)
     how = config.regression.aggregation

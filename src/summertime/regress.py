@@ -5,8 +5,10 @@ Two estimator families:
 * ``LinearModel`` / ``RegressionSuite``: one ordinary-least-squares model per
   activity class, fitted on the training windows of that class (true labels).
   Each design row is the window's feature vector optionally augmented with
-  its bout's cluster-ratio summary, plus an intercept.  At prediction time
-  the bout's *predicted* class routes every window to that class's model.
+  its bout's cluster-ratio summary, plus an intercept; a class with too few
+  rows for that design fits its first ``1 + feature_dim`` columns, the
+  window-only design.  At prediction time the bout's *predicted* class routes
+  every window to that class's model.
 * a linear-head network (see classify.train_mlp) regressing MET directly from
   window features, used by the network-regression method.
 
@@ -24,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FitError, load_payload, reading_payload, save_payload
+from .errors import FitError, load_payload, reading_payload, require_finite, save_payload
 from .features import WindowFeatures
 from .summarize import SummaryVector
 
@@ -46,6 +48,7 @@ class LinearModel:
             raise ValueError(f"unknown design mode {self.mode!r}")
         if self.coefficients.ndim != 1:
             raise ValueError("coefficients must be 1-d")
+        require_finite({f"class {self.activity_class!r} coefficients": self.coefficients})
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,11 @@ class RegressionSuite:
                 raise ValueError(
                     f"model order mismatch: {model.activity_class!r} vs {label!r}"
                 )
+            width = 1 + self.feature_dim
+            width += self.summary_dim if model.mode == "augmented" else 0
+            if len(model.coefficients) != width:
+                raise ValueError(f"class {label!r}: {model.mode} model has "
+                                 f"{len(model.coefficients)} coefficients, expected {width}")
 
     def model_for(self, label: str) -> LinearModel:
         try:
@@ -101,31 +109,31 @@ def build_design_rows(features: np.ndarray, ratios: np.ndarray | None) -> np.nda
     return np.hstack(columns)
 
 
-def _collect_rows(features: Sequence[WindowFeatures],
-                  summaries: Sequence[SummaryVector] | None,
-                  ) -> tuple[dict[str, list[np.ndarray]], dict[str, list[np.ndarray]],
-                             dict[str, list[np.ndarray]]]:
-    by_class_aug: dict[str, list[np.ndarray]] = {}
-    by_class_win: dict[str, list[np.ndarray]] = {}
-    by_class_y: dict[str, list[np.ndarray]] = {}
-    ratio_by_bout = {}
-    if summaries is not None:
-        ratio_by_bout = {s.bout_id: s.ratios for s in summaries}
+def stack_targets(features: Sequence[WindowFeatures],
+                  summaries: Sequence[SummaryVector] | None = None,
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack the windows that carry MET targets, in input order.
+
+    Returns (inputs, targets, classes), one row per window.  An input row is
+    the window's feature vector, followed by its bout's summary ratios when
+    ``summaries`` is given; ``classes`` holds each row's true label.
+    """
+    ratio_of = None if summaries is None else {s.bout_id: s.ratios for s in summaries}
+    inputs, targets, classes = [], [], []
     for feat in features:
         if feat.targets is None:
             continue
-        label = feat.activity_class
-        by_class_win.setdefault(label, []).append(
-            build_design_rows(feat.matrix, None)
-        )
-        if summaries is not None:
-            if feat.bout_id not in ratio_by_bout:
+        rows = feat.matrix
+        if ratio_of is not None:
+            if feat.bout_id not in ratio_of:
                 raise FitError(f"bout {feat.bout_id!r} has no summary vector")
-            by_class_aug.setdefault(label, []).append(
-                build_design_rows(feat.matrix, ratio_by_bout[feat.bout_id])
-            )
-        by_class_y.setdefault(label, []).append(np.asarray(feat.targets, dtype=float))
-    return by_class_aug, by_class_win, by_class_y
+            rows = np.hstack([rows, np.tile(ratio_of[feat.bout_id], (len(rows), 1))])
+        inputs.append(rows)
+        targets.append(np.asarray(feat.targets, dtype=float))
+        classes += [feat.activity_class] * len(rows)
+    if not inputs:
+        raise FitError("no training windows carry energy-expenditure targets")
+    return np.vstack(inputs), np.concatenate(targets), np.array(classes)
 
 
 def fit_regression_suite(features: Sequence[WindowFeatures],
@@ -135,39 +143,33 @@ def fit_regression_suite(features: Sequence[WindowFeatures],
 
     With ``summaries`` given, each class model uses the augmented design
     unless that class has fewer target windows than design columns, in which
-    case it falls back to the window-only design (logged).  A class with no
-    target windows at all is an error.
+    case it fits the window-only design, the first ``1 + feature_dim``
+    columns (logged).  A class with no target windows at all is an error.
     """
     class_labels = tuple(class_labels)
-    by_class_aug, by_class_win, by_class_y = _collect_rows(features, summaries)
-    if not by_class_y:
-        raise FitError("no training windows carry energy-expenditure targets")
-    sample_feat = next(f for f in features if f.targets is not None)
-    feature_dim = sample_feat.matrix.shape[1]
-    summary_dim = 0
-    if summaries is not None and summaries:
-        summary_dim = len(summaries[0].ratios)
+    inputs, targets, classes = stack_targets(features, summaries)
+    design = build_design_rows(inputs, None)
+    summary_dim = len(summaries[0].ratios) if summaries else 0
+    feature_dim = inputs.shape[1] - summary_dim
 
     models = []
     for label in class_labels:
-        if label not in by_class_y:
+        rows = classes == label
+        if not rows.any():
             raise FitError(
                 f"class {label!r} has no training windows with targets; "
                 "cannot fit its regression model"
             )
-        targets = np.concatenate(by_class_y[label])
-        if summaries is not None:
-            design = np.vstack(by_class_aug[label])
-            if len(targets) >= design.shape[1]:
-                models.append(LinearModel(label, fit_ols(design, targets), "augmented"))
-                continue
+        mode = "window_only" if summaries is None else "augmented"
+        width = design.shape[1]
+        if mode == "augmented" and rows.sum() < width:
             log.warning(
                 "class %r has %d target windows for %d augmented coefficients; "
                 "falling back to the window-only design",
-                label, len(targets), design.shape[1],
+                label, rows.sum(), width,
             )
-        design = np.vstack(by_class_win[label])
-        models.append(LinearModel(label, fit_ols(design, targets), "window_only"))
+            mode, width = "window_only", 1 + feature_dim
+        models.append(LinearModel(label, fit_ols(design[rows, :width], targets[rows]), mode))
     return RegressionSuite(
         models=tuple(models),
         class_labels=class_labels,

@@ -7,9 +7,11 @@ weight of unneeded components toward zero, so fitting with a generous
 component budget and discarding components below a small weight floor selects
 the component count from the data.
 
-Fitting runs in z-scored feature space; the reported model carries posterior
-expected parameters mapped back to the original feature space, plus the
-standardizer so new points can be scored.
+Fitting runs in z-scored feature space under a fixed prior: zero mean and
+identity Wishart scale.  Each iteration computes the component counts, means
+and weighted scatters once, and the objective reuses them.  The reported model
+carries posterior expected parameters mapped back to the original feature
+space, plus the standardizer so new points can be scored.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import digamma, gammaln, logsumexp
 
 from .errors import (ConsistencyError, FitError, load_payload, reading_payload,
-                     save_payload)
+                     require_finite, save_payload)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -38,6 +40,11 @@ class Standardizer:
 
     mean: np.ndarray
     std: np.ndarray
+
+    def __post_init__(self):
+        require_finite({"standardizer mean": self.mean, "standardizer std": self.std})
+        if not np.all(np.asarray(self.std) > 0):
+            raise ValueError("standardizer std must be positive")
 
     @classmethod
     def fit(cls, data: np.ndarray) -> "Standardizer":
@@ -119,6 +126,7 @@ class MixtureModel:
             raise ValueError("mixture parameter shapes disagree")
         if k < 1:
             raise ValueError("mixture must keep at least one component")
+        require_finite({"weights": weights, "means": means, "covariances": covs})
         if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be positive and sum to 1")
         object.__setattr__(self, "weights", weights)
@@ -228,51 +236,50 @@ def _initial_responsibilities(z: np.ndarray, k: int,
     return resp
 
 
+@dataclass(frozen=True)
 class _Posterior:
-    """Variational posterior state over K components in z-scored space."""
+    """Variational posterior over K components in z-scored space, with the
+    statistics of the responsibilities it was computed from: ``nk`` (N_k),
+    ``xbar`` (the weighted means) and ``scatter`` (N_k S_k, unnormalized)."""
 
-    __slots__ = ("alpha", "beta", "m", "nu", "w_inv", "w", "log_det_w",
-                 "e_log_pi", "e_log_det")
-
-    def __init__(self, k: int, dim: int):
-        self.alpha = np.empty(k)
-        self.beta = np.empty(k)
-        self.m = np.empty((k, dim))
-        self.nu = np.empty(k)
-        self.w_inv = np.empty((k, dim, dim))
-        self.w = np.empty((k, dim, dim))
-        self.log_det_w = np.empty(k)
-        self.e_log_pi = np.empty(k)
-        self.e_log_det = np.empty(k)
+    nk: np.ndarray
+    xbar: np.ndarray
+    scatter: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    m: np.ndarray
+    nu: np.ndarray
+    w_inv: np.ndarray
+    w: np.ndarray
+    log_det_w: np.ndarray
+    e_log_pi: np.ndarray
+    e_log_det: np.ndarray
 
 
 def _update_posterior(z: np.ndarray, resp: np.ndarray, alpha0: float, beta0: float,
-                      nu0: float, m0: np.ndarray, w0_inv: np.ndarray) -> _Posterior:
-    n, dim = z.shape
-    k = resp.shape[1]
-    post = _Posterior(k, dim)
+                      nu0: float) -> _Posterior:
+    """Bishop (10.58)-(10.63) under the fixed prior m0 = 0, W0 = I."""
+    dim = z.shape[1]
     nk = resp.sum(axis=0)
-    post.alpha = alpha0 + nk
-    post.beta = beta0 + nk
-    post.nu = nu0 + nk
-    safe_nk = np.maximum(nk, 1e-300)
-    xbar = (resp.T @ z) / safe_nk[:, None]
-    post.m = (beta0 * m0[None, :] + nk[:, None] * xbar) / post.beta[:, None]
-    for j in range(k):
-        diff = z - xbar[j]
-        s = (resp[:, j][:, None] * diff).T @ diff  # nk * S_k, unnormalized
-        dm = xbar[j] - m0
-        post.w_inv[j] = (w0_inv + s
-                         + (beta0 * nk[j] / (beta0 + nk[j])) * np.outer(dm, dm))
-        chol, lower = cho_factor(post.w_inv[j], lower=True)
-        post.w[j] = cho_solve((chol, lower), np.eye(dim))
-        post.w[j] = 0.5 * (post.w[j] + post.w[j].T)
-        post.log_det_w[j] = -2.0 * np.log(np.diag(chol)).sum()
-    post.e_log_pi = digamma(post.alpha) - digamma(post.alpha.sum())
+    alpha, beta, nu = alpha0 + nk, beta0 + nk, nu0 + nk
+    xbar = (resp.T @ z) / np.maximum(nk, 1e-300)[:, None]
+    scatter = np.array([(r[:, None] * (z - x)).T @ (z - x) for r, x in zip(resp.T, xbar)])
+    eye = np.eye(dim)
+    w_inv = (eye + scatter
+             + (beta0 * nk / beta)[:, None, None] * (xbar[:, :, None] * xbar[:, None, :]))
+    chols = [cho_factor(matrix, lower=True) for matrix in w_inv]
+    inverses = np.array([cho_solve(chol, eye) for chol in chols])
+    w = 0.5 * (inverses + inverses.transpose(0, 2, 1))
+    log_det_w = np.array([-2.0 * np.log(np.diag(chol)).sum() for chol, _ in chols])
     rows = np.arange(dim)[None, :]
-    post.e_log_det = (digamma((post.nu[:, None] - rows) / 2.0).sum(axis=1)
-                      + dim * math.log(2.0) + post.log_det_w)
-    return post
+    return _Posterior(
+        nk=nk, xbar=xbar, scatter=scatter, alpha=alpha, beta=beta,
+        m=(nk[:, None] * xbar) / beta[:, None], nu=nu, w_inv=w_inv, w=w,
+        log_det_w=log_det_w,
+        e_log_pi=digamma(alpha) - digamma(alpha.sum()),
+        e_log_det=(digamma((nu[:, None] - rows) / 2.0).sum(axis=1)
+                   + dim * math.log(2.0) + log_det_w),
+    )
 
 
 def _expected_log_likelihood_terms(z: np.ndarray, post: _Posterior) -> np.ndarray:
@@ -302,21 +309,17 @@ def _log_wishart_b(log_det_w: float, nu: float, dim: int) -> float:
     )
 
 
-def _elbo(z: np.ndarray, resp: np.ndarray, post: _Posterior, alpha0: float,
-          beta0: float, nu0: float, m0: np.ndarray, w0_inv: np.ndarray) -> float:
-    n, dim = z.shape
-    k = resp.shape[1]
-    nk = resp.sum(axis=0)
-    safe_nk = np.maximum(nk, 1e-300)
-    xbar = (resp.T @ z) / safe_nk[:, None]
+def _elbo(resp: np.ndarray, post: _Posterior, alpha0: float, beta0: float,
+          nu0: float) -> float:
+    """Bishop (10.70)-(10.77) under the fixed prior m0 = 0, W0 = I."""
+    k, dim = post.m.shape
 
     # E[ln p(X | Z, mu, Lambda)]
     t_data = 0.0
     for j in range(k):
-        diff = z - xbar[j]
-        s = ((resp[:, j][:, None] * diff).T @ diff) / safe_nk[j]
-        dm = xbar[j] - post.m[j]
-        t_data += 0.5 * nk[j] * (
+        s = post.scatter[j] / max(post.nk[j], 1e-300)
+        dm = post.xbar[j] - post.m[j]
+        t_data += 0.5 * post.nk[j] * (
             post.e_log_det[j]
             - dim / post.beta[j]
             - post.nu[j] * np.trace(s @ post.w[j])
@@ -324,21 +327,19 @@ def _elbo(z: np.ndarray, resp: np.ndarray, post: _Posterior, alpha0: float,
             - dim * LOG_2PI
         )
 
-    t_z = float((nk * post.e_log_pi).sum())
+    t_z = float((post.nk * post.e_log_pi).sum())
     t_pi = _log_dirichlet_const(np.full(k, alpha0)) + (alpha0 - 1.0) * post.e_log_pi.sum()
 
-    log_det_w0_inv = float(np.linalg.slogdet(w0_inv)[1])
-    log_b0 = _log_wishart_b(-log_det_w0_inv, nu0, dim)
+    log_b0 = _log_wishart_b(0.0, nu0, dim)
     t_mu_lambda = k * log_b0 + 0.5 * (nu0 - dim - 1.0) * post.e_log_det.sum()
     for j in range(k):
-        dm = post.m[j] - m0
         t_mu_lambda += 0.5 * (
             dim * math.log(beta0 / (2.0 * math.pi))
             + post.e_log_det[j]
             - dim * beta0 / post.beta[j]
-            - beta0 * post.nu[j] * float(dm @ post.w[j] @ dm)
+            - beta0 * post.nu[j] * float(post.m[j] @ post.w[j] @ post.m[j])
         )
-        t_mu_lambda -= 0.5 * post.nu[j] * np.trace(w0_inv @ post.w[j])
+        t_mu_lambda -= 0.5 * post.nu[j] * np.trace(post.w[j])
 
     with np.errstate(divide="ignore", invalid="ignore"):
         log_r = np.where(resp > 0, np.log(np.maximum(resp, 1e-300)), 0.0)
@@ -396,16 +397,14 @@ def fit_mixture(data: np.ndarray, settings: FitSettings | None = None,
     z = standardizer.transform(data)
     k = min(settings.k_max, n)
     alpha0, beta0 = settings.dirichlet_alpha0, settings.beta0
-    m0, w0_inv = np.zeros(dim), np.eye(dim)
 
     rng = np.random.default_rng(seed)
     resp = _initial_responsibilities(z, k, rng)
 
     elbo_trace: list[float] = []
-    post = None
     for _ in range(settings.max_iter):
-        post = _update_posterior(z, resp, alpha0, beta0, nu0, m0, w0_inv)
-        elbo = _elbo(z, resp, post, alpha0, beta0, nu0, m0, w0_inv)
+        post = _update_posterior(z, resp, alpha0, beta0, nu0)
+        elbo = _elbo(resp, post, alpha0, beta0, nu0)
         if not math.isfinite(elbo):
             raise FitError("objective became non-finite during fitting")
         previous = elbo_trace[-1] if elbo_trace else None

@@ -319,6 +319,12 @@ def test_serialization_rejects_foreign_payloads(tmp_path):
         ("w1", [0.0, 0.0], r"w1 and w2 must be matrices, got shapes \(2,\) and \(3, 1\)"),
         ("standardizer", {"mean": [0.0] * 5, "std": [1.0] * 5},
          r"input standardizer has shape \(5,\), network takes 2 inputs"),
+        ("w1", np.full((2, 3), np.nan).tolist(), "^w1 must be finite"),
+        ("b1", [0.0, float("inf"), 0.0], "^b1 must be finite"),
+        ("w2", [[0.0], [np.nan], [0.0]], "^w2 must be finite"),
+        ("b2", [float("-inf")], "^b2 must be finite"),
+        ("standardizer", {"mean": [0.0, 0.0], "std": [1.0, 0.0]},
+         "^standardizer std must be positive"),
     ]:
         with pytest.raises(ValueError, match=message):
             model_from_dict({**linear, key: value})

@@ -95,6 +95,16 @@ def test_summarize_without_model_fails_cleanly(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert f"{model}: mixture model payload has a value of the wrong type" in err
+    dim = 18  # 6 features per axis, 3 axes
+    model.write_text(json.dumps({
+        "format": "vbgmm", "version": 1, "weights": [float("nan")] * 2,
+        "means": [[0.0] * dim] * 2, "covariances": [np.eye(dim).tolist()] * 2,
+        "standardizer": {"mean": [0.0] * dim, "std": [1.0] * dim},
+    }))
+    code = main(["summarize", "--config", cfg, "--model", str(model),
+                 "--out", str(tmp_path / "empty")])
+    assert code == 1
+    assert f"{model}: weights must be finite" in capsys.readouterr().err
 
 
 def test_run_writes_reports_and_honors_methods_flag(tmp_path, capsys):

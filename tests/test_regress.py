@@ -133,6 +133,25 @@ def test_fallback_to_window_only_when_rows_are_scarce(caplog):
         suite = fit_regression_suite(feats, summaries, ("slow", "fast"))
     assert all(m.mode == "window_only" for m in suite.models)
     assert "falling back" in caplog.text
+    window_only = fit_regression_suite(feats, None, ("slow", "fast"))
+    for fallback, direct in zip(suite.models, window_only.models):
+        assert np.array_equal(fallback.coefficients, direct.coefficients)
+
+
+def test_fallback_is_per_class():
+    rng = np.random.default_rng(22)
+    # slow has 6 windows for a 5-column augmented design, fast only 3
+    feats, summaries = toy_training_set(rng, n_bouts=3, windows_per=3)
+    suite = fit_regression_suite(feats, summaries, ("slow", "fast"))
+    assert [m.mode for m in suite.models] == ["augmented", "window_only"]
+    assert len(suite.model_for("slow").coefficients) == 5
+    window_only = fit_regression_suite(feats, None, ("slow", "fast"))
+    assert np.array_equal(suite.model_for("fast").coefficients,
+                          window_only.model_for("fast").coefficients)
+    # routing hands every model the bout's ratios; the fallback ignores them
+    for feat, summary in zip(feats, summaries):
+        assert np.array_equal(predict_windows(suite, "fast", feat.matrix, summary.ratios),
+                              predict_windows(window_only, "fast", feat.matrix, None))
 
 
 def test_class_without_targets_is_an_error():
@@ -206,6 +225,24 @@ def test_serialization_rejects_foreign_payloads(tmp_path):
                            match="regression suite payload has a value of the wrong type"):
             suite_from_dict({"format": "regression_suite", "version": 1,
                              "models": models})
+    valid = {"format": "regression_suite", "version": 1,
+             "class_labels": ["slow", "fast"], "feature_dim": 18, "summary_dim": 5,
+             "models": [{"activity_class": "slow", "mode": "augmented",
+                         "coefficients": [0.0] * 24},
+                        {"activity_class": "fast", "mode": "window_only",
+                         "coefficients": [0.0] * 19}]}
+    suite_from_dict(valid)
+    for slow, fast, message in [
+        ([0.0] * 2, [0.0], "'slow': augmented model has 2 coefficients, expected 24"),
+        ([0.0] * 24, [0.0], "'fast': window_only model has 1 coefficients, expected 19"),
+        ([0.0] * 19, [0.0] * 19, "'slow': augmented model has 19 coefficients"),
+        ([0.0] * 23 + [float("nan")], [0.0] * 19,
+         "^class 'slow' coefficients must be finite"),
+    ]:
+        models = [{**valid["models"][0], "coefficients": slow},
+                  {**valid["models"][1], "coefficients": fast}]
+        with pytest.raises(ValueError, match=message):
+            suite_from_dict({**valid, "models": models})
     path = tmp_path / "suite.json"
     path.write_text('{"format": "regression_suite", "version": 1}')
     with pytest.raises(ValueError, match=r"suite\.json: .* no key 'models'"):

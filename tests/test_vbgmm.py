@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import digamma, gammaln, multigammaln
+from scipy.stats import wishart
 
 from summertime.errors import FitError
 from summertime.vbgmm import (
     FitSettings,
     Standardizer,
+    _elbo,
+    _update_posterior,
     assign,
     fit_mixture,
     load_model,
@@ -130,6 +134,72 @@ def test_fit_rejects_bad_inputs():
             fit_mixture(data, settings)
 
 
+def bishop_posterior_and_elbo(z, resp, alpha0, beta0, nu0):
+    """PRML (10.58)-(10.63) with explicit inverses, and the bound as the sum of
+    (10.71)-(10.77) with every data term taken per point.  The prior mean is
+    zero and the Wishart scale the identity."""
+    n, d = z.shape
+    k = resp.shape[1]
+    m0, w0 = np.zeros(d), np.eye(d)
+    nk = resp.sum(axis=0)
+    xbar = np.array([resp[:, j] @ z / nk[j] for j in range(k)])
+    s = [sum(resp[i, j] * np.outer(z[i] - xbar[j], z[i] - xbar[j]) for i in range(n))
+         / nk[j] for j in range(k)]
+    alpha, beta, nu = alpha0 + nk, beta0 + nk, nu0 + nk
+    m = np.array([(beta0 * m0 + nk[j] * xbar[j]) / beta[j] for j in range(k)])
+    w_inv = np.array([
+        np.linalg.inv(w0) + nk[j] * s[j]
+        + beta0 * nk[j] / (beta0 + nk[j]) * np.outer(xbar[j] - m0, xbar[j] - m0)
+        for j in range(k)
+    ])
+    w = np.array([np.linalg.inv(w_inv[j]) for j in range(k)])
+
+    def log_b(scale, dof):
+        return (-0.5 * dof * np.linalg.slogdet(scale)[1] - 0.5 * dof * d * np.log(2.0)
+                - multigammaln(dof / 2.0, d))
+
+    def log_c(a):
+        return gammaln(a.sum()) - gammaln(a).sum()
+
+    ln_pi = digamma(alpha) - digamma(alpha.sum())
+    ln_lam = np.array([digamma((nu[j] + 1 - np.arange(1, d + 1)) / 2.0).sum()
+                       + d * np.log(2.0) + np.linalg.slogdet(w[j])[1]
+                       for j in range(k)])
+    p_x = sum(0.5 * resp[i, j] * (ln_lam[j] - d / beta[j]
+                                  - nu[j] * (z[i] - m[j]) @ w[j] @ (z[i] - m[j])
+                                  - d * np.log(2.0 * np.pi))
+              for i in range(n) for j in range(k))
+    p_z = sum(resp[i, j] * ln_pi[j] for i in range(n) for j in range(k))
+    p_pi = log_c(np.full(k, alpha0)) + (alpha0 - 1.0) * ln_pi.sum()
+    p_mu_lam = k * log_b(w0, nu0) + 0.5 * (nu0 - d - 1.0) * ln_lam.sum() + sum(
+        0.5 * (d * np.log(beta0 / (2.0 * np.pi)) + ln_lam[j] - d * beta0 / beta[j]
+               - beta0 * nu[j] * (m[j] - m0) @ w[j] @ (m[j] - m0))
+        - 0.5 * nu[j] * np.trace(np.linalg.inv(w0) @ w[j])
+        for j in range(k)
+    )
+    q_z = sum(resp[i, j] * np.log(resp[i, j]) for i in range(n) for j in range(k))
+    q_pi = ((alpha - 1.0) * ln_pi).sum() + log_c(alpha)
+    q_mu_lam = sum(0.5 * ln_lam[j] + 0.5 * d * np.log(beta[j] / (2.0 * np.pi)) - 0.5 * d
+                   - wishart(df=nu[j], scale=w[j]).entropy()
+                   for j in range(k))
+    posterior = {"alpha": alpha, "beta": beta, "m": m, "nu": nu, "w_inv": w_inv, "w": w}
+    return posterior, p_x + p_z + p_pi + p_mu_lam - q_z - q_pi - q_mu_lam
+
+
+def test_update_and_objective_match_the_per_point_textbook_bound():
+    rng = np.random.default_rng(61)
+    n, d, k = 60, 3, 4
+    z = rng.normal(size=(n, d)) @ rng.normal(size=(d, d)) + rng.normal(size=d)
+    resp = rng.dirichlet(np.ones(k), size=n)
+    alpha0, beta0, nu0 = 1e-3, 1.0, d + 1.0
+    post = _update_posterior(z, resp, alpha0, beta0, nu0)
+    want, want_elbo = bishop_posterior_and_elbo(z, resp, alpha0, beta0, nu0)
+    for name, value in want.items():
+        np.testing.assert_allclose(getattr(post, name), value, rtol=1e-10, atol=0,
+                                   err_msg=name)
+    assert _elbo(resp, post, alpha0, beta0, nu0) == pytest.approx(want_elbo, rel=1e-10)
+
+
 def test_prior_degrees_of_freedom_floor():
     data = np.random.default_rng(0).normal(size=(30, 3))
     with pytest.raises(FitError, match="degrees of freedom"):
@@ -180,6 +250,21 @@ def test_serialization_rejects_foreign_payloads():
         model_from_dict({"format": "vbgmm", "version": 1, "weights": [1.0],
                          "means": [[0.0]], "covariances": [[[1.0]]],
                          "standardizer": []})
+    valid = {"format": "vbgmm", "version": 1, "weights": [0.5, 0.5],
+             "means": [[0.0], [1.0]], "covariances": [[[1.0]], [[1.0]]],
+             "standardizer": {"mean": [0.0], "std": [1.0]}}
+    model_from_dict(valid)
+    nan, inf = float("nan"), float("inf")
+    for key, value, message in [
+        ("weights", [nan, nan], "^weights must be finite"),
+        ("means", [[0.0], [inf]], "^means must be finite"),
+        ("covariances", [[[1.0]], [[nan]]], "^covariances must be finite"),
+        ("standardizer", {"mean": [nan], "std": [1.0]}, "^standardizer mean must be finite"),
+        ("standardizer", {"mean": [0.0], "std": [inf]}, "^standardizer std must be finite"),
+        ("standardizer", {"mean": [0.0], "std": [0.0]}, "^standardizer std must be positive"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            model_from_dict({**valid, key: value})
 
 
 def test_model_dict_is_json_clean():
