@@ -355,10 +355,7 @@ def model_to_dict(model: MlpModel) -> dict:
         "standardizer": None,
     }
     if model.input_standardizer is not None:
-        payload["standardizer"] = {
-            "mean": model.input_standardizer.mean.tolist(),
-            "std": model.input_standardizer.std.tolist(),
-        }
+        payload["standardizer"] = model.input_standardizer.to_dict()
     return payload
 
 
@@ -366,10 +363,7 @@ def model_from_dict(payload: dict) -> MlpModel:
     with reading_payload(payload, "mlp", "network"):
         standardizer = None
         if payload.get("standardizer"):
-            standardizer = Standardizer(
-                mean=np.array(payload["standardizer"]["mean"], dtype=float),
-                std=np.array(payload["standardizer"]["std"], dtype=float),
-            )
+            standardizer = Standardizer.from_dict(payload["standardizer"])
         return MlpModel(
             w1=np.array(payload["w1"], dtype=float),
             b1=np.array(payload["b1"], dtype=float),

@@ -35,7 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="samples per window (overrides config)")
     shared.add_argument("--methods", metavar="LIST",
                         help=f"comma-separated subset of: {', '.join(METHOD_NAMES)}")
-    shared.add_argument("--aggregation", choices=("sum", "mean"),
+    shared.add_argument("--aggregation", choices=regress.AGGREGATIONS,
                         help="per-bout aggregation of window MET estimates")
     shared.add_argument("--out", metavar="DIR", help="output directory")
     shared.add_argument("--corpus", metavar="DIR",
@@ -82,18 +82,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
-    methods = None
-    if args.methods:
-        methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     return apply_overrides(
         config,
         seed=args.seed,
         window_length=args.window_length,
-        methods=methods,
+        methods=args.methods or None,  # --methods "" keeps the config's list
         aggregation=args.aggregation,
         out=args.out,
         corpus=args.corpus,
     )
+
+
+def _synthesize(config: PipelineConfig) -> Corpus:
+    """The synthetic corpus that the config describes."""
+    synthetic = config.synthetic
+    return generate_synthetic(synthetic.generator_config(config.window_length),
+                              synthetic.seed)
 
 
 def _obtain_corpus(config: PipelineConfig) -> Corpus:
@@ -101,10 +105,7 @@ def _obtain_corpus(config: PipelineConfig) -> Corpus:
         log.info("loading corpus from %s", config.io.corpus)
         return load_corpus(config.io.corpus, config.window_length)
     log.info("generating synthetic corpus (seed %d)", config.synthetic.seed)
-    return generate_synthetic(
-        config.synthetic.generator_config(config.window_length),
-        config.synthetic.seed,
-    )
+    return _synthesize(config)
 
 
 def _fit_and_save(corpus: Corpus, config: PipelineConfig
@@ -140,10 +141,7 @@ def _echo_comparison(comparison: dict) -> None:
 
 
 def cmd_generate(args: argparse.Namespace, config: PipelineConfig) -> int:
-    corpus = generate_synthetic(
-        config.synthetic.generator_config(config.window_length),
-        config.synthetic.seed,
-    )
+    corpus = _synthesize(config)
     save_corpus(corpus, config.io.out, config.window_length)
     print(f"wrote {len(corpus)} bouts for {len(corpus.subject_ids)} subjects "
           f"to {config.io.out}")

@@ -2,8 +2,9 @@
 
 The config document is flat JSON with one section per pipeline stage.  Every
 key has a default, unknown keys are rejected by name, and command-line flags
-override file values (handled in the cli module).  ``fingerprint`` hashes
-the fully resolved config so reports can state exactly what produced them.
+override file values through the same reader (``apply_overrides``).
+``fingerprint`` hashes the fully resolved config so reports can state
+exactly what produced them.
 """
 
 from __future__ import annotations
@@ -11,13 +12,14 @@ from __future__ import annotations
 import hashlib
 import json
 import types
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Literal, Sequence, get_args, get_type_hints
 
 from .classify import MlpSettings
-from .dataset import SyntheticConfig
+from .dataset import DEFAULT_WINDOW_LENGTH, SyntheticConfig
 from .errors import ConfigError, FitError
+from .regress import AGGREGATIONS, DESIGN_MODES
 from .vbgmm import FitSettings
 
 METHOD_NAMES = ("summertime", "ann_voting", "linreg_local", "fivereg_ann",
@@ -40,18 +42,15 @@ class MlpConfig(MlpSettings):
 
 @dataclass(frozen=True)
 class RegressionConfig:
-    mode: Literal["augmented", "window_only"] = "augmented"
-    aggregation: Literal["mean", "sum"] = "mean"
+    mode: Literal[DESIGN_MODES] = DESIGN_MODES[0]
+    aggregation: Literal[AGGREGATIONS] = AGGREGATIONS[0]
 
     def validate(self) -> None:
-        if self.mode not in ("augmented", "window_only"):
-            raise ConfigError(
-                f"regression.mode must be 'augmented' or 'window_only', got {self.mode!r}"
-            )
-        if self.aggregation not in ("mean", "sum"):
-            raise ConfigError(
-                f"regression.aggregation must be 'mean' or 'sum', got {self.aggregation!r}"
-            )
+        for name, allowed in (("mode", DESIGN_MODES), ("aggregation", AGGREGATIONS)):
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"regression.{name} must be "
+                                  f"{' or '.join(map(repr, allowed))}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,8 @@ class EvaluationConfig:
 
 @dataclass(frozen=True)
 class SyntheticSection:
-    subjects: int = 10
-    bouts_per_class: int = 3
+    subjects: int = SyntheticConfig.subjects
+    bouts_per_class: int = SyntheticConfig.bouts_per_class
     seed: int = 7
 
     def generator_config(self, window_length: int) -> SyntheticConfig:
@@ -103,7 +102,7 @@ class IoConfig:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    window_length: int = 12
+    window_length: int = DEFAULT_WINDOW_LENGTH
     gmm: GmmConfig = field(default_factory=GmmConfig)
     mlp: MlpConfig = field(default_factory=MlpConfig)
     regression: RegressionConfig = field(default_factory=RegressionConfig)
@@ -128,12 +127,12 @@ class PipelineConfig:
     def to_dict(self) -> dict:
         return {
             "window_length": self.window_length,
-            "gmm": _section_dict(self.gmm),
-            "mlp": _section_dict(self.mlp),
-            "regression": _section_dict(self.regression),
+            "gmm": asdict(self.gmm),
+            "mlp": asdict(self.mlp),
+            "regression": asdict(self.regression),
             "evaluation": {"methods": list(self.evaluation.methods)},
-            "synthetic": _section_dict(self.synthetic),
-            "io": _section_dict(self.io),
+            "synthetic": asdict(self.synthetic),
+            "io": asdict(self.io),
         }
 
     def semantic_dict(self) -> dict:
@@ -164,10 +163,6 @@ _SECTIONS = {
     "synthetic": SyntheticSection,
     "io": IoConfig,
 }
-
-
-def _section_dict(section: Any) -> dict:
-    return {f.name: getattr(section, f.name) for f in fields(section)}
 
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
@@ -228,10 +223,7 @@ def config_from_dict(payload: dict) -> PipelineConfig:
             raise ConfigError(f"unknown config key {key}")
     kwargs: dict[str, Any] = {}
     if "window_length" in payload:
-        value = payload["window_length"]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError("window_length must be an integer")
-        kwargs["window_length"] = value
+        kwargs["window_length"] = _checked("window_length", int, payload["window_length"])
     for name, cls in _SECTIONS.items():
         if name in payload:
             kwargs[name] = _build_section(name, cls, payload[name])
@@ -253,25 +245,22 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 def apply_overrides(config: PipelineConfig, *, seed: int | None = None,
                     window_length: int | None = None,
-                    methods: Sequence[str] | None = None,
+                    methods: str | Sequence[str] | None = None,
                     aggregation: str | None = None,
                     out: str | None = None,
                     corpus: str | None = None) -> PipelineConfig:
-    """Command-line flag overrides; flags win over file values."""
-    if seed is not None:
-        config = replace(config, synthetic=replace(config.synthetic, seed=seed))
-    if window_length is not None:
-        config = replace(config, window_length=window_length)
-    if methods is not None:
-        config = replace(
-            config, evaluation=replace(config.evaluation, methods=tuple(methods))
-        )
-    if aggregation is not None:
-        config = replace(
-            config, regression=replace(config.regression, aggregation=aggregation)
-        )
-    if out is not None:
-        config = replace(config, io=replace(config.io, out=out))
-    if corpus is not None:
-        config = replace(config, io=replace(config.io, corpus=corpus))
-    return config.validate()
+    """Command-line flag overrides; flags win over file values.
+
+    Each flag that is not None replaces its key in the config document, which
+    is then read like a file, so flags get the same checks and messages.
+    """
+    document = config.to_dict()
+    for section, key, value in (("synthetic", "seed", seed),
+                                (None, "window_length", window_length),
+                                ("evaluation", "methods", methods),
+                                ("regression", "aggregation", aggregation),
+                                ("io", "out", out),
+                                ("io", "corpus", corpus)):
+        if value is not None:
+            (document if section is None else document[section])[key] = value
+    return config_from_dict(document)

@@ -22,9 +22,9 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -480,40 +480,39 @@ DEFAULT_REGIMES = (
 )
 
 
+# The simulated device: one relative gain per axis (so three axes), the range
+# of the per-subject gain, and the noise on each window's MET target.  Counts
+# are rounded to integers and clipped at zero.
+AXIS_SCALES = (1.0, 0.7, 0.5)
+SUBJECT_SCALE_RANGE = (0.9, 1.1)
+MET_NOISE_STD = 0.15
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
-    """Knobs for the seeded synthetic corpus generator."""
+    """Size, class regimes and window length of a seeded synthetic corpus.
+
+    ``subjects`` subjects each record ``bouts_per_class`` bouts of every
+    regime in ``regimes`` (the first regime is the rest regime that pauses
+    draw from), with one MET target per ``window_length`` samples.  The
+    device is fixed: ``AXIS_SCALES``, ``SUBJECT_SCALE_RANGE`` and
+    ``MET_NOISE_STD``.
+    """
 
     subjects: int = 10
     bouts_per_class: int = 3
     regimes: tuple[ClassRegime, ...] = DEFAULT_REGIMES
-    axis_count: int = 3
-    axis_scales: tuple[float, ...] = (1.0, 0.7, 0.5)
     window_length: int = DEFAULT_WINDOW_LENGTH
-    subject_scale_range: tuple[float, float] = (0.9, 1.1)
-    met_noise_std: float = 0.15
-    integer_counts: bool = True
 
     def validate(self) -> None:
         if self.subjects < 1:
             raise ConfigError("synthetic.subjects must be positive")
         if self.bouts_per_class < 1:
             raise ConfigError("synthetic.bouts_per_class must be positive")
-        if self.axis_count < 1:
-            raise ConfigError("synthetic.axis_count must be positive")
-        if len(self.axis_scales) < self.axis_count:
-            raise ConfigError(
-                "synthetic.axis_scales must provide one scale per axis"
-            )
         if self.window_length < 2:
             raise ConfigError("synthetic.window_length must be >= 2")
         if len(self.regimes) < 2:
             raise ConfigError("synthetic corpora need at least 2 class regimes")
-        if self.met_noise_std < 0:
-            raise ConfigError("synthetic.met_noise_std must be nonnegative")
-        lo, hi = self.subject_scale_range
-        if not (0 < lo <= hi):
-            raise ConfigError("synthetic.subject_scale_range must be positive and ordered")
         for regime in self.regimes:
             if regime.base_count <= 0:
                 raise ConfigError(f"regime {regime.label!r}: base_count must be positive")
@@ -565,17 +564,17 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
     config.validate()
     rng = np.random.default_rng(seed)
     rest = config.regimes[0]
-    axis_scales = np.asarray(config.axis_scales[: config.axis_count])
+    axis_scales = np.asarray(AXIS_SCALES)
     length = config.window_length
 
     bouts = []
     for s in range(config.subjects):
         subject_id = f"subj{s:02d}"
-        subject_scale = rng.uniform(*config.subject_scale_range)
+        subject_scale = rng.uniform(*SUBJECT_SCALE_RANGE)
         for regime in config.regimes:
             for b in range(config.bouts_per_class):
                 duration = int(rng.integers(*regime.duration_range, endpoint=True))
-                phases = rng.uniform(0.0, 2 * np.pi, size=config.axis_count)
+                phases = rng.uniform(0.0, 2 * np.pi, size=len(axis_scales))
                 n_windows = duration // length
                 blocks = []
                 targets = np.empty(n_windows)
@@ -584,21 +583,17 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
                     block_regime = rest if paused else regime
                     block = _regime_block(block_regime, length, w * length,
                                           subject_scale, phases, axis_scales, rng)
-                    if config.integer_counts:
-                        block = np.round(block)
-                    block = np.clip(block, 0.0, None)
+                    block = np.clip(np.round(block), 0.0, None)
                     blocks.append(block)
                     met = (block_regime.met_intercept
                            + block_regime.met_slope * float(block.mean())
-                           + rng.normal(0.0, config.met_noise_std))
+                           + rng.normal(0.0, MET_NOISE_STD))
                     targets[w] = max(met, 0.0)
                 remainder = duration - n_windows * length
                 if remainder:
                     tail = _regime_block(regime, remainder, n_windows * length,
                                          subject_scale, phases, axis_scales, rng)
-                    if config.integer_counts:
-                        tail = np.round(tail)
-                    blocks.append(np.clip(tail, 0.0, None))
+                    blocks.append(np.clip(np.round(tail), 0.0, None))
                 signal = np.vstack(blocks)
                 bouts.append(
                     Bout(
@@ -616,7 +611,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
     )
     return Corpus(
         bouts=tuple(bouts),
-        axis_count=config.axis_count,
+        axis_count=len(AXIS_SCALES),
         label_set=label_set,
         provenance=provenance,
         seed=seed,

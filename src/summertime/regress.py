@@ -32,7 +32,10 @@ from .summarize import SummaryVector
 
 log = logging.getLogger(__name__)
 
+# The value lists of the per-bout aggregation and of the design mode; the
+# first entry of each is the pipeline default.
 AGGREGATIONS = ("mean", "sum")
+DESIGN_MODES = ("augmented", "window_only")
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,7 @@ class LinearModel:
     mode: str  # 'augmented' (features + summary ratios) or 'window_only'
 
     def __post_init__(self):
-        if self.mode not in ("augmented", "window_only"):
+        if self.mode not in DESIGN_MODES:
             raise ValueError(f"unknown design mode {self.mode!r}")
         if self.coefficients.ndim != 1:
             raise ValueError("coefficients must be 1-d")
@@ -61,6 +64,10 @@ class RegressionSuite:
     summary_dim: int
 
     def __post_init__(self):
+        for name in ("feature_dim", "summary_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
         if len(self.models) != len(self.class_labels):
             raise ValueError("need exactly one model per class")
         for model, label in zip(self.models, self.class_labels):
@@ -243,8 +250,8 @@ def suite_from_dict(payload: dict) -> RegressionSuite:
         return RegressionSuite(
             models=models,
             class_labels=tuple(payload["class_labels"]),
-            feature_dim=int(payload["feature_dim"]),
-            summary_dim=int(payload["summary_dim"]),
+            feature_dim=payload["feature_dim"],
+            summary_dim=payload["summary_dim"],
         )
 
 

@@ -42,6 +42,9 @@ class Standardizer:
     std: np.ndarray
 
     def __post_init__(self):
+        if np.ndim(self.mean) != 1 or np.shape(self.mean) != np.shape(self.std):
+            raise ValueError(f"standardizer mean and std must be 1-d and of one length, "
+                             f"got shapes {np.shape(self.mean)} and {np.shape(self.std)}")
         require_finite({"standardizer mean": self.mean, "standardizer std": self.std})
         if not np.all(np.asarray(self.std) > 0):
             raise ValueError("standardizer std must be positive")
@@ -60,6 +63,15 @@ class Standardizer:
 
     def inverse(self, data: np.ndarray) -> np.ndarray:
         return np.asarray(data, dtype=float) * self.std + self.mean
+
+    def to_dict(self) -> dict:
+        """The payload that every model file stores its standardizer as."""
+        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "Standardizer":
+        return cls(mean=np.array(payload["mean"], dtype=float),
+                   std=np.array(payload["std"], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -126,6 +138,11 @@ class MixtureModel:
             raise ValueError("mixture parameter shapes disagree")
         if k < 1:
             raise ValueError("mixture must keep at least one component")
+        if self.standardizer.mean.shape != (d,):
+            raise ValueError(
+                f"standardizer has shape {self.standardizer.mean.shape}, "
+                f"mixture has dimension {d}"
+            )
         require_finite({"weights": weights, "means": means, "covariances": covs})
         if np.any(weights <= 0) or abs(weights.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be positive and sum to 1")
@@ -459,10 +476,7 @@ def model_to_dict(model: MixtureModel) -> dict:
         "weights": model.weights.tolist(),
         "means": model.means.tolist(),
         "covariances": model.covariances.tolist(),
-        "standardizer": {
-            "mean": model.standardizer.mean.tolist(),
-            "std": model.standardizer.std.tolist(),
-        },
+        "standardizer": model.standardizer.to_dict(),
         "elbo_trace": list(model.elbo_trace),
         "seed": model.seed,
     }
@@ -470,15 +484,12 @@ def model_to_dict(model: MixtureModel) -> dict:
 
 def model_from_dict(payload: dict) -> MixtureModel:
     with reading_payload(payload, "vbgmm", "mixture model"):
-        std = payload["standardizer"]
+        standardizer = Standardizer.from_dict(payload["standardizer"])
         return MixtureModel(
             weights=np.array(payload["weights"], dtype=float),
             means=np.array(payload["means"], dtype=float),
             covariances=np.array(payload["covariances"], dtype=float),
-            standardizer=Standardizer(
-                mean=np.array(std["mean"], dtype=float),
-                std=np.array(std["std"], dtype=float),
-            ),
+            standardizer=standardizer,
             elbo_trace=tuple(payload.get("elbo_trace", ())),
             seed=payload.get("seed"),
         )

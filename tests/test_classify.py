@@ -325,6 +325,8 @@ def test_serialization_rejects_foreign_payloads(tmp_path):
         ("b2", [float("-inf")], "^b2 must be finite"),
         ("standardizer", {"mean": [0.0, 0.0], "std": [1.0, 0.0]},
          "^standardizer std must be positive"),
+        ("standardizer", {"mean": [0.0, 0.0], "std": [1.0]},
+         r"^standardizer mean and std must be 1-d and of one length, got shapes \(2,\) and \(1,\)"),
     ]:
         with pytest.raises(ValueError, match=message):
             model_from_dict({**linear, key: value})

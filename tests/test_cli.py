@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from summertime.cli import main
+from summertime.cli import _build_parser, _resolve_config, main
 
 SMALL = {
     "synthetic": {"subjects": 3, "bouts_per_class": 1, "seed": 19},
@@ -124,6 +124,13 @@ def test_run_writes_reports_and_honors_methods_flag(tmp_path, capsys):
     assert (out / "confusion_summertime.csv").is_file()
     assert (out / "rmse_linreg_local.csv").is_file()
     assert report["reference_panel"]["labels"] == ["Sed", "LHH", "MtV", "Walk", "Run"]
+
+
+def test_empty_methods_flag_keeps_the_config_methods(tmp_path):
+    cfg = write_config(tmp_path, {"evaluation": {"methods": ["linreg_local"]}})
+    for flag in ([], ["--methods", ""]):
+        args = _build_parser().parse_args(["evaluate", "--config", cfg, *flag])
+        assert _resolve_config(args).evaluation.methods == ("linreg_local",)
 
 
 def test_unknown_config_key_names_the_offender(tmp_path, capsys):

@@ -135,6 +135,18 @@ def test_overrides_win_over_file_values():
     assert updated.io.corpus == "corpus_dir"
     # None overrides leave everything alone
     assert apply_overrides(config) == config
+    # Flags are read like the file keys they override.
+    spaced = apply_overrides(config, methods="ann_voting, summertime")
+    assert spaced.evaluation.methods == ("ann_voting", "summertime")
+    for flags, message in [
+        ({"window_length": True}, "window_length must be an integer"),
+        ({"seed": "5"}, "synthetic.seed must be an integer"),
+    ]:
+        with pytest.raises(ConfigError) as info:
+            apply_overrides(config, **flags)
+        assert str(info.value) == message
+    with pytest.raises(TypeError):
+        apply_overrides(config, mode="window_only")
 
 
 def test_semantic_dict_drops_execution_keys():

@@ -243,6 +243,15 @@ def test_serialization_rejects_foreign_payloads(tmp_path):
                   {**valid["models"][1], "coefficients": fast}]
         with pytest.raises(ValueError, match=message):
             suite_from_dict({**valid, "models": models})
+    # Dimensions are nonnegative integers as written: no rounding, no booleans.
+    window_only = [{"activity_class": label, "mode": "window_only", "coefficients": []}
+                   for label in ("slow", "fast")]
+    for key, value in [("feature_dim", -1), ("feature_dim", 1.9), ("feature_dim", True),
+                       ("summary_dim", -1), ("summary_dim", 1.9), ("summary_dim", True)]:
+        with pytest.raises(ValueError,
+                           match=f"^{key} must be a nonnegative integer, got {value!r}$"):
+            suite_from_dict({**valid, "feature_dim": 0, "summary_dim": 0,
+                             "models": window_only, key: value})
     path = tmp_path / "suite.json"
     path.write_text('{"format": "regression_suite", "version": 1}')
     with pytest.raises(ValueError, match=r"suite\.json: .* no key 'models'"):

@@ -262,9 +262,20 @@ def test_serialization_rejects_foreign_payloads():
         ("standardizer", {"mean": [nan], "std": [1.0]}, "^standardizer mean must be finite"),
         ("standardizer", {"mean": [0.0], "std": [inf]}, "^standardizer std must be finite"),
         ("standardizer", {"mean": [0.0], "std": [0.0]}, "^standardizer std must be positive"),
+        ("standardizer", {"mean": [0.0, 0.0], "std": [1.0]},
+         r"^standardizer mean and std must be 1-d and of one length, got shapes \(2,\) and \(1,\)"),
+        ("standardizer", {"mean": [[0.0]], "std": [[1.0]]},
+         r"^standardizer mean and std must be 1-d"),
     ]:
         with pytest.raises(ValueError, match=message):
             model_from_dict({**valid, key: value})
+    # The standardizer must have one entry per mixture dimension.
+    planar = {**valid, "means": [[0.0, 0.0], [1.0, 1.0]],
+              "covariances": [np.eye(2).tolist()] * 2}
+    with pytest.raises(ValueError,
+                       match=r"^standardizer has shape \(1,\), mixture has dimension 2"):
+        model_from_dict(planar)
+    model_from_dict({**planar, "standardizer": {"mean": [0.0, 0.0], "std": [1.0, 1.0]}})
 
 
 def test_model_dict_is_json_clean():
