@@ -84,10 +84,7 @@ class SyntheticSection:
         )
 
     def validate(self) -> None:
-        if self.subjects < 1:
-            raise ConfigError("synthetic.subjects must be positive")
-        if self.bouts_per_class < 1:
-            raise ConfigError("synthetic.bouts_per_class must be positive")
+        SyntheticConfig(subjects=self.subjects, bouts_per_class=self.bouts_per_class).validate()
 
 
 @dataclass(frozen=True)

@@ -458,9 +458,8 @@ def compare_regression_modes(corpus: Corpus, config: PipelineConfig) -> dict:
     training RMSE cannot be larger.
     """
     pooled: dict[str, list[np.ndarray]] = {
-        "train_augmented": [], "train_window_only": [],
-        "test_augmented": [], "test_window_only": [],
-        "train_actual": [], "test_actual": [],
+        f"{split}_{kind}": []
+        for split in ("train", "test") for kind in ("actual",) + regress.DESIGN_MODES
     }
     labels = corpus.label_set
     for train, test, seeds in _folds(corpus, config):
@@ -469,8 +468,9 @@ def compare_regression_modes(corpus: Corpus, config: PipelineConfig) -> dict:
         mixture, train_sums = _fit_summaries(train_feats, config, seeds.mixture)
         test_sums = summarize_corpus(mixture, test_feats)
         suites = {
-            "augmented": regress.fit_regression_suite(train_feats, train_sums, labels),
-            "window_only": regress.fit_regression_suite(train_feats, None, labels),
+            mode: regress.fit_regression_suite(
+                train_feats, train_sums if mode == "augmented" else None, labels)
+            for mode in regress.DESIGN_MODES
         }
         for split, feats, sums in (
             ("train", train_feats, train_sums),
@@ -489,7 +489,7 @@ def compare_regression_modes(corpus: Corpus, config: PipelineConfig) -> dict:
     result = {}
     for split in ("train", "test"):
         actual = np.concatenate(pooled[f"{split}_actual"])
-        for mode in ("augmented", "window_only"):
+        for mode in regress.DESIGN_MODES:
             predicted = np.concatenate(pooled[f"{split}_{mode}"])
             result[f"{split}_rmse_{mode}"] = rmse(predicted, actual)
     return result

@@ -26,7 +26,6 @@ from .dataset import Bout, Corpus, DEFAULT_WINDOW_LENGTH
 
 PERCENTILE_FRACTIONS = (0.10, 0.25, 0.50, 0.75, 0.90)
 STAT_NAMES = ("p10", "p25", "p50", "p75", "p90", "ac1")
-FEATURES_PER_AXIS = len(STAT_NAMES)
 
 
 @dataclass(frozen=True)
@@ -82,44 +81,28 @@ def percentile_rank(fraction: float, n: int) -> int:
     return min(max(rank, 1), n) - 1
 
 
-def percentile_points(values: np.ndarray,
-                      fractions: Sequence[float] = PERCENTILE_FRACTIONS) -> np.ndarray:
-    """Nearest-rank order statistics of a 1-d sample, one per fraction."""
-    values = np.sort(np.asarray(values, dtype=float))
-    ranks = [percentile_rank(q, len(values)) for q in fractions]
-    return values[ranks]
+def window_matrix(windows: np.ndarray) -> np.ndarray:
+    """Feature matrix of (n, window_length, A) windows: (n, 6 * A), axis-major.
 
-
-def lag1_autocorrelation(values: np.ndarray) -> float:
-    """Lag-1 autocorrelation with the full-sample variance in the denominator.
-
-    Returns 0.0 for constant windows, where the ratio is undefined.
+    The lag-1 autocorrelation puts the full-sample variance in the
+    denominator and is 0.0 for constant windows, where the ratio is undefined.
     """
-    values = np.asarray(values, dtype=float)
-    n = len(values)
-    if n < 2:
-        return 0.0
-    centered = values - values.mean()
-    denom = float(centered @ centered)
-    if denom == 0.0:
-        return 0.0
-    return float(centered[1:] @ centered[:-1]) / denom
-
-
-def window_features(window: np.ndarray) -> np.ndarray:
-    """Feature vector of one (window_length, A) block, axis-major layout."""
-    parts = []
-    for a in range(window.shape[1]):
-        axis = window[:, a]
-        parts.append(percentile_points(axis))
-        parts.append([lag1_autocorrelation(axis)])
-    return np.concatenate(parts)
+    n, length, _ = windows.shape
+    series = np.ascontiguousarray(windows.transpose(0, 2, 1))
+    ranks = [percentile_rank(q, length) for q in PERCENTILE_FRACTIONS]
+    points = np.sort(series, axis=-1)[..., ranks]
+    centered = series - series.mean(axis=-1, keepdims=True)
+    # matmul sums each window in the order of a 1-d dot product, the order
+    # the pinned feature digest fixes; np.sum or einsum change the last bit.
+    denom = (centered[..., None, :] @ centered[..., :, None])[..., 0, 0]
+    lagged = (centered[..., None, 1:] @ centered[..., :-1, None])[..., 0, 0]
+    ac1 = np.divide(lagged, denom, out=np.zeros_like(denom), where=denom != 0.0)
+    return np.concatenate([points, ac1[..., None]], axis=-1).reshape(n, -1)
 
 
 def featurize_bout(bout: Bout,
                    window_length: int = DEFAULT_WINDOW_LENGTH) -> WindowFeatures:
-    windows = segment(bout.signal, window_length)
-    matrix = np.array([window_features(w) for w in windows])
+    matrix = window_matrix(segment(bout.signal, window_length))
     targets = bout.targets
     if targets is not None:
         if len(targets) < len(matrix):

@@ -74,6 +74,9 @@ def test_value_validation_messages():
         ({"gmm": {"nu0": float("inf")}}, "gmm.nu0 must be finite"),
         ({"mlp": {"learning_rate": float("nan")}}, "mlp.learning_rate must be finite"),
         ({"mlp": {"l2_penalty": float("inf")}}, "mlp.l2_penalty must be finite"),
+        ({"synthetic": {"subjects": 0}}, "synthetic.subjects must be positive"),
+        ({"synthetic": {"bouts_per_class": 0}},
+         "synthetic.bouts_per_class must be positive"),
     ]:
         with pytest.raises(ConfigError) as info:
             config_from_dict(payload)

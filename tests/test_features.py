@@ -1,23 +1,26 @@
 """Window feature extraction against brute-force oracles."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from summertime.dataset import Bout
+from summertime.dataset import Bout, SyntheticConfig, generate_synthetic
 from summertime.features import (
     PERCENTILE_FRACTIONS,
     STAT_NAMES,
     feature_names,
     featurize_bout,
-    lag1_autocorrelation,
-    percentile_points,
+    featurize_corpus,
     percentile_rank,
     segment,
     stack_features,
-    window_features,
+    window_matrix,
 )
+
+# Window lengths with every remainder pattern the kernel's reductions meet.
+WINDOW_LENGTHS = (2, 3, 7, 12, 17, 40)
 
 
 def sort_oracle_percentile(values, fraction):
@@ -31,8 +34,6 @@ def sort_oracle_percentile(values, fraction):
 def double_loop_ac1(values):
     """Lag-1 autocorrelation with explicit loops, no vectorization."""
     n = len(values)
-    if n < 2:
-        return 0.0
     mean = sum(values) / n
     denom = 0.0
     for v in values:
@@ -58,31 +59,43 @@ def test_percentile_rank_clamps_to_valid_range():
         percentile_rank(1.0, 7)
 
 
+def random_bout_windows(rng, window_length):
+    """A random float bout, featurized, and its windows as (n, L, A)."""
+    n, axes = int(rng.integers(1, 30)), int(rng.integers(1, 4))
+    signal = rng.normal(rng.normal(0.0, 50.0), 30.0,
+                        size=(n * window_length + int(rng.integers(0, window_length)), axes))
+    matrix = featurize_bout(Bout("b", "s", "Walk", signal), window_length).matrix
+    assert matrix.shape == (n, 6 * axes)
+    return matrix.reshape(n, axes, 6), segment(signal, window_length)
+
+
 def test_percentile_matches_sort_oracle_on_random_windows():
     rng = np.random.default_rng(11)
-    for _ in range(1000):
-        window = rng.normal(50.0, 30.0, size=12)
-        points = percentile_points(window, PERCENTILE_FRACTIONS)
-        for q, got in zip(PERCENTILE_FRACTIONS, points):
-            want = sort_oracle_percentile(window.tolist(), q)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    for window_length in WINDOW_LENGTHS * 40:
+        feats, windows = random_bout_windows(rng, window_length)
+        for w, window in enumerate(windows):
+            for axis in range(window.shape[1]):
+                values = window[:, axis].tolist()
+                want = [sort_oracle_percentile(values, q) for q in PERCENTILE_FRACTIONS]
+                assert feats[w, axis, :5].tolist() == want
 
 
 def test_ac1_matches_double_loop_oracle_on_random_windows():
     rng = np.random.default_rng(12)
-    for _ in range(1000):
-        window = rng.normal(0.0, 5.0, size=12)
-        got = lag1_autocorrelation(window)
-        want = double_loop_ac1(window.tolist())
-        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    for window_length in WINDOW_LENGTHS * 40:
+        feats, windows = random_bout_windows(rng, window_length)
+        for w, window in enumerate(windows):
+            for axis in range(window.shape[1]):
+                want = double_loop_ac1(window[:, axis].tolist())
+                assert feats[w, axis, 5] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_ac1_closed_forms():
-    assert lag1_autocorrelation(np.array([3.0, 3.0, 3.0, 3.0])) == 0.0
-    assert lag1_autocorrelation(np.array([5.0])) == 0.0
+    constant = np.full((1, 4, 1), 3.0)
+    assert window_matrix(constant)[0, 5] == 0.0
     # alternating +1/-1: numerator pairs all -1, denominator n
-    alt = np.array([1.0, -1.0] * 6)
-    assert lag1_autocorrelation(alt) == pytest.approx(-11.0 / 12.0, rel=1e-12)
+    alt = np.array([1.0, -1.0] * 6).reshape(1, 12, 1)
+    assert window_matrix(alt)[0, 5] == pytest.approx(-11.0 / 12.0, rel=1e-12)
 
 
 def test_segment_drops_the_tail():
@@ -100,15 +113,16 @@ def test_segment_rejects_short_bouts():
 
 def test_window_features_layout_is_axis_major():
     rng = np.random.default_rng(13)
-    window = rng.normal(size=(12, 3))
-    feats = window_features(window)
-    assert feats.shape == (18,)
-    for axis in range(3):
-        col = window[:, axis]
-        expected = np.concatenate(
-            [percentile_points(col, PERCENTILE_FRACTIONS), [lag1_autocorrelation(col)]]
-        )
-        np.testing.assert_allclose(feats[axis * 6:(axis + 1) * 6], expected, rtol=1e-12)
+    windows = rng.normal(size=(4, 12, 3))
+    feats = window_matrix(windows)
+    assert feats.shape == (4, 18)
+    for w in range(4):
+        for axis in range(3):
+            col = windows[w, :, axis].tolist()
+            expected = [sort_oracle_percentile(col, q) for q in PERCENTILE_FRACTIONS]
+            expected.append(double_loop_ac1(col))
+            np.testing.assert_allclose(feats[w, axis * 6:(axis + 1) * 6], expected,
+                                       rtol=1e-12, atol=1e-12)
 
 
 def test_feature_names_align_with_layout():
@@ -142,3 +156,10 @@ def test_stack_features_concatenates_in_order():
     assert stacked.shape == (6, 12)
     np.testing.assert_array_equal(stacked[:2], feats[0].matrix)
     np.testing.assert_array_equal(stacked[4:], feats[2].matrix)
+
+
+def test_featurized_default_corpus_is_pinned():
+    corpus = generate_synthetic(SyntheticConfig(), 7)
+    digest = hashlib.sha256(stack_features(featurize_corpus(corpus, 12)).tobytes())
+    assert digest.hexdigest() == (
+        "e6df36126018937e712f93f1da4af32bbfcaf8cfbf66f350d8442c815067b32b")
