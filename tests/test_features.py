@@ -19,7 +19,7 @@ from summertime.features import (
     window_matrix,
 )
 
-# Window lengths with every remainder pattern the kernel's reductions meet.
+# Short, default and long window lengths, odd and even.
 WINDOW_LENGTHS = (2, 3, 7, 12, 17, 40)
 
 
@@ -93,9 +93,11 @@ def test_ac1_matches_double_loop_oracle_on_random_windows():
 def test_ac1_closed_forms():
     constant = np.full((1, 4, 1), 3.0)
     assert window_matrix(constant)[0, 5] == 0.0
-    # alternating +1/-1: numerator pairs all -1, denominator n
-    alt = np.array([1.0, -1.0] * 6).reshape(1, 12, 1)
-    assert window_matrix(alt)[0, 5] == pytest.approx(-11.0 / 12.0, rel=1e-12)
+    # alternating +1/-1: numerator pairs all -1, denominator n; at any scale,
+    # since only an exactly constant window is undefined
+    for scale in (1.0, 1e-6):
+        alt = scale * np.array([1.0, -1.0] * 6).reshape(1, 12, 1)
+        assert window_matrix(alt)[0, 5] == pytest.approx(-11.0 / 12.0, rel=1e-12)
 
 
 def test_segment_drops_the_tail():
