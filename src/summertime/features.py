@@ -45,6 +45,8 @@ class WindowFeatures:
     def __post_init__(self):
         if self.matrix.ndim != 2:
             raise ValueError("feature matrix must be 2-d")
+        if self.matrix.shape[0] == 0:
+            raise ValueError(f"bout {self.bout_id!r}: feature matrix has no windows")
         if self.targets is not None and len(self.targets) != len(self.matrix):
             raise ValueError(
                 f"bout {self.bout_id!r}: {len(self.matrix)} windows but "

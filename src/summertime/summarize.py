@@ -3,7 +3,8 @@
 A fitted mixture turns each window's feature vector into a component index;
 a bout's summary is the histogram of those indices normalized to fractions.
 Bouts of any duration therefore map to vectors of one shared length K (the
-mixture's component count), suitable as classifier input.
+mixture's component count), suitable as classifier input.  A corpus is
+labelled with one ``assign`` call over all of its windows.
 """
 
 from __future__ import annotations
@@ -37,18 +38,27 @@ class SummaryVector:
         ratios = np.asarray(self.ratios, dtype=float)
         if ratios.ndim != 1:
             raise ValueError("summary ratios must be 1-d")
-        if np.any(ratios < 0) or abs(ratios.sum() - 1.0) > 1e-9:
+        if (not np.all(np.isfinite(ratios)) or np.any(ratios < 0)
+                or abs(ratios.sum() - 1.0) > 1e-9):
             raise ValueError(
-                f"bout {self.bout_id!r}: ratios must be nonnegative and sum to 1"
+                f"bout {self.bout_id!r}: ratios must be finite, nonnegative and sum to 1"
             )
         if self.window_count < 1:
             raise ValueError(f"bout {self.bout_id!r}: summary needs >= 1 window")
         object.__setattr__(self, "ratios", ratios)
 
 
-def summarize_bout(model: MixtureModel, features: WindowFeatures) -> SummaryVector:
-    labels = assign(model, features.matrix)
-    counts = np.bincount(labels, minlength=model.component_count).astype(float)
+def _require_width(model: MixtureModel, features: WindowFeatures) -> None:
+    width = features.matrix.shape[1]
+    if width != model.dim:
+        raise ValueError(
+            f"bout {features.bout_id!r}: {width} features, model expects {model.dim}"
+        )
+
+
+def _summary(features: WindowFeatures, labels: np.ndarray, k: int) -> SummaryVector:
+    """The summary of one bout from its windows' component labels."""
+    counts = np.bincount(labels, minlength=k).astype(float)
     return SummaryVector(
         bout_id=features.bout_id,
         subject_id=features.subject_id,
@@ -58,22 +68,48 @@ def summarize_bout(model: MixtureModel, features: WindowFeatures) -> SummaryVect
     )
 
 
+def summarize_bout(model: MixtureModel, features: WindowFeatures) -> SummaryVector:
+    _require_width(model, features)
+    return _summary(features, assign(model, features.matrix), model.component_count)
+
+
 def summarize_corpus(model: MixtureModel,
                      features: Sequence[WindowFeatures]) -> list[SummaryVector]:
-    return [summarize_bout(model, f) for f in features]
+    """Summaries of every bout, in order, from one ``assign`` over all windows."""
+    if not features:
+        return []
+    for f in features:
+        _require_width(model, f)
+    labels = assign(model, np.vstack([f.matrix for f in features]))
+    ends = np.cumsum([f.window_count for f in features])
+    return [_summary(f, part, model.component_count)
+            for f, part in zip(features, np.split(labels, ends[:-1]))]
+
+
+def _summary_length(summaries: Sequence[SummaryVector]) -> int:
+    """The one ratio length K that every summary shares."""
+    k = len(summaries[0].ratios)
+    for s in summaries:
+        if len(s.ratios) != k:
+            raise ValueError(
+                f"bout {s.bout_id!r} has {len(s.ratios)} ratios, "
+                f"bout {summaries[0].bout_id!r} has {k}"
+            )
+    return k
 
 
 def summary_matrix(summaries: Sequence[SummaryVector]) -> np.ndarray:
     """(B, K) matrix of ratio vectors in bout order."""
     if not summaries:
         raise ValueError("no summaries to stack")
+    _summary_length(summaries)
     return np.vstack([s.ratios for s in summaries])
 
 
 def write_summaries_csv(summaries: Sequence[SummaryVector], path: str | Path) -> None:
     if not summaries:
         raise ValueError("no summaries to write")
-    k = len(summaries[0].ratios)
+    k = _summary_length(summaries)
     with open(Path(path), "w", newline="\n", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["bout_id", "subject_id", "label", "windows"]

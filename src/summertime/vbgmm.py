@@ -12,6 +12,11 @@ identity Wishart scale.  Each iteration computes the component counts, means
 and weighted scatters once, and the objective reuses them.  The reported model
 carries posterior expected parameters mapped back to the original feature
 space, plus the standardizer so new points can be scored.
+
+The E-step forms each component's expected quadratic term as
+``sum((diff @ W_k) * diff, axis=1)``: one (N, D) x (D, D) matrix product and
+an elementwise row sum per component, so BLAS does the work.  A batched
+(K, N, D) product was measured slower and holds K copies of the data.
 """
 
 from __future__ import annotations
@@ -280,7 +285,10 @@ def _update_posterior(z: np.ndarray, resp: np.ndarray, alpha0: float, beta0: flo
     nk = resp.sum(axis=0)
     alpha, beta, nu = alpha0 + nk, beta0 + nk, nu0 + nk
     xbar = (resp.T @ z) / np.maximum(nk, 1e-300)[:, None]
-    scatter = np.array([(r[:, None] * (z - x)).T @ (z - x) for r, x in zip(resp.T, xbar)])
+    scatter = np.empty((len(nk), dim, dim))
+    for j, (r, x) in enumerate(zip(resp.T, xbar)):
+        centred = z - x
+        scatter[j] = (r[:, None] * centred).T @ centred
     eye = np.eye(dim)
     w_inv = (eye + scatter
              + (beta0 * nk / beta)[:, None, None] * (xbar[:, :, None] * xbar[:, None, :]))
@@ -306,7 +314,7 @@ def _expected_log_likelihood_terms(z: np.ndarray, post: _Posterior) -> np.ndarra
     out = np.empty((n, k))
     for j in range(k):
         diff = z - post.m[j]
-        quad = post.nu[j] * np.einsum("ni,ij,nj->n", diff, post.w[j], diff)
+        quad = post.nu[j] * np.sum((diff @ post.w[j]) * diff, axis=1)
         out[:, j] = (post.e_log_pi[j] + 0.5 * post.e_log_det[j]
                      - 0.5 * (dim * LOG_2PI + dim / post.beta[j] + quad))
     return out

@@ -1,16 +1,21 @@
 """Variational mixture fitting: recovery, monotonicity, densities, pruning."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import digamma, gammaln, multigammaln
 from scipy.stats import wishart
 
+from summertime.dataset import SyntheticConfig, generate_synthetic
 from summertime.errors import FitError
+from summertime.features import featurize_corpus, stack_features
 from summertime.vbgmm import (
     FitSettings,
     Standardizer,
     _elbo,
+    _expected_log_likelihood_terms,
     _update_posterior,
     assign,
     fit_mixture,
@@ -182,8 +187,25 @@ def bishop_posterior_and_elbo(z, resp, alpha0, beta0, nu0):
     q_mu_lam = sum(0.5 * ln_lam[j] + 0.5 * d * np.log(beta[j] / (2.0 * np.pi)) - 0.5 * d
                    - wishart(df=nu[j], scale=w[j]).entropy()
                    for j in range(k))
-    posterior = {"alpha": alpha, "beta": beta, "m": m, "nu": nu, "w_inv": w_inv, "w": w}
+    posterior = {"alpha": alpha, "beta": beta, "m": m, "nu": nu, "w_inv": w_inv, "w": w,
+                 "e_log_pi": ln_pi, "e_log_det": ln_lam}
     return posterior, p_x + p_z + p_pi + p_mu_lam - q_z - q_pi - q_mu_lam
+
+
+def bishop_log_rho(z, posterior):
+    """PRML (10.46) per point and component, with the expectations (10.64)-(10.66)
+    read from a posterior whose W_k are explicit inverses; normalizing each row
+    gives the responsibilities (10.67)."""
+    n, d = z.shape
+    k = len(posterior["alpha"])
+    out = np.empty((n, k))
+    for i in range(n):
+        for j in range(k):
+            diff = z[i] - posterior["m"][j]
+            quad = d / posterior["beta"][j] + posterior["nu"][j] * diff @ posterior["w"][j] @ diff
+            out[i, j] = (posterior["e_log_pi"][j] + 0.5 * posterior["e_log_det"][j]
+                         - 0.5 * d * np.log(2.0 * np.pi) - 0.5 * quad)
+    return out
 
 
 def test_update_and_objective_match_the_per_point_textbook_bound():
@@ -198,6 +220,25 @@ def test_update_and_objective_match_the_per_point_textbook_bound():
         np.testing.assert_allclose(getattr(post, name), value, rtol=1e-10, atol=0,
                                    err_msg=name)
     assert _elbo(resp, post, alpha0, beta0, nu0) == pytest.approx(want_elbo, rel=1e-10)
+    np.testing.assert_allclose(_expected_log_likelihood_terms(z, post),
+                               bishop_log_rho(z, want), rtol=1e-10, atol=0)
+
+
+def test_default_corpus_fit_is_pinned():
+    """Iteration counts, K, the final bound and every window's label on the
+    default corpus, measured before the E-step became a matrix product."""
+    data = stack_features(featurize_corpus(generate_synthetic(SyntheticConfig(), 7), 12))
+    label_digests = ["011d1b78a35af4df9c3954c86ffef1931b7955d391fff44b1222c368fe56926a",
+                     "a1549ea229b7c00a066d9847545313aa9bc53c1132fb81adb8899b499076836b",
+                     "54f1f309877b0d40accc32605b66eff609366f087835e450f4a0f5870edf38e5",
+                     "d57b2f3002636da9670c588f4993775b8008a4c4c49b1d933326b9fa41598365"]
+    for seed, (iterations, digest) in enumerate(zip([12, 8, 12, 6], label_digests)):
+        model = fit_mixture(data, seed=seed)
+        assert len(model.elbo_trace) == iterations, seed
+        assert model.component_count == 5, seed
+        assert model.elbo_trace[-1] == pytest.approx(21645.7360171042, rel=1e-12), seed
+        labels = assign(model, data).astype(np.int64)
+        assert hashlib.sha256(labels.tobytes()).hexdigest() == digest, seed
 
 
 def test_prior_degrees_of_freedom_floor():
