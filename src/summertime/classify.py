@@ -9,10 +9,22 @@ The same network core serves two jobs:
   regression from window features.
 
 Everything is explicit numpy: forward pass, backprop, L2 penalty on the two
-weight matrices (biases are not decayed).  One gradient routine serves both
-the SGD step in ``train_mlp`` and ``loss_and_gradients``, which is exposed so
-gradients can be checked against finite differences.  The step computes no
-loss; the per-epoch ``training_log`` entry comes from a forward pass alone.
+weight matrices (biases are not decayed).  The parameters live in one flat
+vector laid out ``[w1, w2, b1, b2]`` and the gradients in a second vector of
+that layout; the four blocks are reshaped views into them.  The decay is one
+product over the ``[w1, w2]`` prefix and the descent step is one product and
+one in-place subtraction over the whole vector.
+
+One backprop routine (``_forward``, ``_output_delta``, ``_gradients``) serves
+both the SGD step in ``train_mlp`` and ``loss_and_gradients``, which is
+exposed so gradients can be checked against finite differences.  Each routine
+writes into output buffers when given them: ``train_mlp`` allocates one set
+per batch size (the full batch and the remainder), so a step allocates
+nothing, while ``loss_and_gradients`` gets fresh arrays.  Each element sees
+the same float operations in the same order either way, so the in-place step
+reproduces plain descent on ``loss_and_gradients`` bit for bit.  The step
+computes no loss; the per-epoch ``training_log`` entry comes from a forward
+pass alone.
 """
 
 from __future__ import annotations
@@ -52,6 +64,16 @@ class MlpSettings:
                 raise FitError(f"{name} must be finite")
 
 
+def _repeated_label(labels: Sequence[str]) -> str | None:
+    """The first label that already occurred earlier in ``labels``, else None."""
+    seen = set()
+    for label in labels:
+        if label in seen:
+            return label
+        seen.add(label)
+    return None
+
+
 @dataclass(frozen=True)
 class MlpModel:
     """Fitted network.  ``head`` is 'softmax' (class_labels set) or 'linear'.
@@ -76,6 +98,9 @@ class MlpModel:
             raise ValueError(f"unknown head {self.head!r}")
         if self.head == "softmax" and len(self.class_labels) < 2:
             raise ValueError("softmax head needs >= 2 class labels")
+        repeated = _repeated_label(self.class_labels)
+        if repeated is not None:
+            raise ValueError(f"class label {repeated!r} is repeated")
         if self.w1.ndim != 2 or self.w2.ndim != 2:
             raise ValueError(
                 f"w1 and w2 must be matrices, got shapes {self.w1.shape} and {self.w2.shape}"
@@ -114,16 +139,55 @@ class ClassPrediction:
 _PARAM_KEYS = ("w1", "b1", "w2", "b2")
 
 
+class _Flat:
+    """One flat vector laid out ``[w1, w2, b1, b2]``, each block a reshaped view.
+
+    ``weights`` is the ``[w1, w2]`` prefix, the part the L2 penalty decays.
+    The network's parameters and their gradients share this layout, so a
+    descent step and the weight decay are each one vector operation.
+    """
+
+    def __init__(self, input_dim: int, hidden: int, output_dim: int):
+        n1 = input_dim * hidden
+        n2 = n1 + hidden * output_dim
+        self.vector = np.empty(n2 + hidden + output_dim)
+        self.weights = self.vector[:n2]
+        self.w1 = self.vector[:n1].reshape(input_dim, hidden)
+        self.w2 = self.vector[n1:n2].reshape(hidden, output_dim)
+        self.b1 = self.vector[n2 : n2 + hidden]
+        self.b2 = self.vector[n2 + hidden :]
+
+    @classmethod
+    def pack(cls, params: dict[str, np.ndarray]) -> "_Flat":
+        flat = cls(*params["w1"].shape, params["w2"].shape[1])
+        for key in _PARAM_KEYS:
+            getattr(flat, key)[...] = params[key]
+        return flat
+
+    def empty_like(self) -> "_Flat":
+        return _Flat(*self.w1.shape, self.w2.shape[1])
+
+
 def _forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
-             b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    hidden = np.tanh(x @ w1 + b1)
-    return hidden, hidden @ w2 + b2
+             b2: np.ndarray, hidden: np.ndarray | None = None,
+             output: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """tanh hidden layer and output logits, written into the buffers if given."""
+    hidden = np.matmul(x, w1, out=hidden)
+    np.add(hidden, b1, out=hidden)
+    np.tanh(hidden, out=hidden)
+    output = np.matmul(hidden, w2, out=output)
+    np.add(output, b2, out=output)
+    return hidden, output
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
+def _softmax(logits: np.ndarray, out: np.ndarray | None = None,
+             row: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax into ``out``; ``row`` is an (N, 1) scratch buffer."""
+    row = np.maximum.reduce(logits, axis=1, keepdims=True, out=row)
+    out = np.subtract(logits, row, out=out)
+    np.exp(out, out=out)
+    np.add.reduce(out, axis=1, keepdims=True, out=row)
+    return np.divide(out, row, out=out)
 
 
 def _loss(output: np.ndarray, y: np.ndarray, head: str, w1: np.ndarray,
@@ -143,23 +207,42 @@ def _loss(output: np.ndarray, y: np.ndarray, head: str, w1: np.ndarray,
     )
 
 
-def _output_delta(output: np.ndarray, y: np.ndarray, head: str) -> np.ndarray:
-    """Gradient of the mean data loss with respect to the network outputs."""
+def _output_delta(output: np.ndarray, y: np.ndarray, head: str,
+                  out: np.ndarray | None = None,
+                  row: np.ndarray | None = None) -> np.ndarray:
+    """Gradient of the mean data loss with respect to the network outputs.
+
+    Written into ``out`` if given, which may be ``output`` itself; ``row`` is
+    the softmax's (N, 1) scratch buffer.
+    """
     if head == "softmax":
-        return (_softmax(output) - y) / len(y)
-    return (output - y) / len(y)
+        output = _softmax(output, out, row)
+    delta = np.subtract(output, y, out=out)
+    return np.divide(delta, len(y), out=delta)
 
 
 def _gradients(x: np.ndarray, hidden: np.ndarray, delta_out: np.ndarray,
-               w1: np.ndarray, w2: np.ndarray, l2_penalty: float
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backpropagate an output delta to (grad_w1, grad_b1, grad_w2, grad_b2)."""
-    grad_w2 = hidden.T @ delta_out + l2_penalty * w2
-    grad_b2 = delta_out.sum(axis=0)
-    delta_hidden = (delta_out @ w2.T) * (1.0 - hidden ** 2)
-    grad_w1 = x.T @ delta_hidden + l2_penalty * w1
-    grad_b1 = delta_hidden.sum(axis=0)
-    return grad_w1, grad_b1, grad_w2, grad_b2
+               params: _Flat, l2_penalty: float, grads: _Flat | None = None,
+               delta_hidden: np.ndarray | None = None,
+               decay: np.ndarray | None = None) -> _Flat:
+    """Backpropagate an output delta into the flat gradient of ``params``.
+
+    ``hidden`` is overwritten with 1 - hidden**2.  ``grads``, ``delta_hidden``
+    (shaped like ``hidden``) and ``decay`` (shaped like ``params.weights``)
+    are output buffers, allocated when not given.
+    """
+    grads = params.empty_like() if grads is None else grads
+    np.matmul(hidden.T, delta_out, out=grads.w2)
+    np.add.reduce(delta_out, axis=0, out=grads.b2)
+    delta_hidden = np.matmul(delta_out, params.w2.T, out=delta_hidden)
+    np.multiply(hidden, hidden, out=hidden)
+    np.subtract(1.0, hidden, out=hidden)
+    np.multiply(delta_hidden, hidden, out=delta_hidden)
+    np.matmul(x.T, delta_hidden, out=grads.w1)
+    np.add.reduce(delta_hidden, axis=0, out=grads.b1)
+    decay = np.multiply(l2_penalty, params.weights, out=decay)
+    np.add(grads.weights, decay, out=grads.weights)
+    return grads
 
 
 def loss_and_gradients(params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray,
@@ -170,13 +253,13 @@ def loss_and_gradients(params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarr
     cross-entropy; for the linear head ``y`` is (N, 1) and the data term is
     0.5 * mean squared error.  The penalty 0.5 * l2 * (|w1|^2 + |w2|^2) is
     added in both cases.  The gradients come from the routine that
-    ``train_mlp`` steps with.
+    ``train_mlp`` steps with, here writing into fresh arrays.
     """
-    w1, b1, w2, b2 = (params[key] for key in _PARAM_KEYS)
-    hidden, output = _forward(x, w1, b1, w2, b2)
-    loss = _loss(output, y, head, w1, w2, l2_penalty)
-    grads = _gradients(x, hidden, _output_delta(output, y, head), w1, w2, l2_penalty)
-    return loss, dict(zip(_PARAM_KEYS, grads))
+    flat = _Flat.pack(params)
+    hidden, output = _forward(x, flat.w1, flat.b1, flat.w2, flat.b2)
+    loss = _loss(output, y, head, flat.w1, flat.w2, l2_penalty)
+    grads = _gradients(x, hidden, _output_delta(output, y, head), flat, l2_penalty)
+    return loss, {key: getattr(grads, key) for key in _PARAM_KEYS}
 
 
 def _init_params(input_dim: int, hidden: int, output_dim: int,
@@ -219,6 +302,9 @@ def train_mlp(inputs: np.ndarray, targets: Sequence[str] | np.ndarray,
     if class_labels is not None:
         head = "softmax"
         class_labels = tuple(class_labels)
+        repeated = _repeated_label(class_labels)
+        if repeated is not None:
+            raise FitError(f"class label {repeated!r} is repeated")
         index = {label: j for j, label in enumerate(class_labels)}
         present = set(targets)
         for label in class_labels:
@@ -245,22 +331,35 @@ def train_mlp(inputs: np.ndarray, targets: Sequence[str] | np.ndarray,
         output_dim = 1
 
     rng = np.random.default_rng(seed)
-    params = _init_params(inputs.shape[1], settings.hidden_units, output_dim, rng)
-    w1, b1, w2, b2 = (params[key] for key in _PARAM_KEYS)
+    params = _Flat.pack(_init_params(inputs.shape[1], settings.hidden_units,
+                                     output_dim, rng))
+    w1, b1, w2, b2 = (getattr(params, key) for key in _PARAM_KEYS)
     n = len(inputs)
     lr, l2, size = settings.learning_rate, settings.l2_penalty, settings.batch_size
+    # A step allocates nothing: every batch of one size (the full one and the
+    # remainder) reuses that size's forward and backward buffers.
+    grads, step = params.empty_like(), np.empty_like(params.vector)
+    decay = np.empty_like(params.weights)
+    buffers = {}
+    batches = []
+    for start in range(0, n, size):
+        rows = min(size, n - start)
+        if rows not in buffers:
+            buffers[rows] = (np.empty((rows, settings.hidden_units)),
+                             np.empty((rows, output_dim)), np.empty((rows, 1)),
+                             np.empty((rows, settings.hidden_units)))
+        batches.append((start, start + rows, *buffers[rows]))
     training_log = []
     for _ in range(settings.epochs):
         order = rng.permutation(n)
         xs, ys = inputs[order], y[order]
-        for start in range(0, n, size):
-            x, t = xs[start : start + size], ys[start : start + size]
-            hidden, output = _forward(x, w1, b1, w2, b2)
-            g_w1, g_b1, g_w2, g_b2 = _gradients(
-                x, hidden, _output_delta(output, t, head), w1, w2, l2
-            )
-            w1, b1 = w1 - lr * g_w1, b1 - lr * g_b1
-            w2, b2 = w2 - lr * g_w2, b2 - lr * g_b2
+        for start, stop, hidden, output, row, delta_hidden in batches:
+            x = xs[start:stop]
+            _forward(x, w1, b1, w2, b2, hidden, output)
+            delta = _output_delta(output, ys[start:stop], head, output, row)
+            _gradients(x, hidden, delta, params, l2, grads, delta_hidden, decay)
+            np.multiply(lr, grads.vector, out=step)
+            params.vector -= step
         _, output = _forward(inputs, w1, b1, w2, b2)
         epoch_loss = _loss(output, y, head, w1, w2, 0.0)
         if not math.isfinite(epoch_loss):
@@ -282,6 +381,8 @@ def _prepare(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"input has {inputs.shape[1]} features, model expects {model.input_dim}"
         )
+    if not np.all(np.isfinite(inputs)):
+        raise ValueError("input contains non-finite values")
     if model.input_standardizer is not None:
         inputs = model.input_standardizer.transform(inputs)
     return inputs
@@ -323,6 +424,8 @@ def classify_bout_voting(model: MlpModel, window_matrix: np.ndarray) -> ClassPre
     vector holds vote shares, not averaged network outputs.
     """
     probs = predict_probabilities(model, window_matrix)
+    if len(probs) == 0:
+        raise ValueError("cannot vote on a bout with no windows")
     votes = np.argmax(probs, axis=1)
     counts = np.bincount(votes, minlength=len(model.class_labels))
     leaders = np.flatnonzero(counts == counts.max())

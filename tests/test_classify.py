@@ -1,5 +1,8 @@
 """Network training: gradients vs finite differences, voting, determinism."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -96,28 +99,86 @@ def reference_sgd(x, y, head, settings, seed):
     return params, tuple(log)
 
 
-@pytest.mark.parametrize("head", ["softmax", "linear"])
-@pytest.mark.parametrize("n, batch_size, standardize", [(45, 8, True), (7, 32, False)])
-def test_training_matches_the_reference_descent(head, n, batch_size, standardize):
+REFERENCE_CASES = [
+    pytest.param(45, 8, True, {}, id="45-8-True"),
+    pytest.param(7, 32, False, {}, id="7-32-False"),
+    # the last batch holds one row
+    pytest.param(33, 32, False, {}, id="33-32-False"),
+    pytest.param(45, 8, True, {"l2_penalty": 0.0}, id="45-8-True-no_decay"),
+    # the window classifier's widths: 18 features, 25 hidden units, 6 classes
+    pytest.param(70, 32, True, {"features": 18, "classes": 6, "epochs": 3,
+                                "hidden_units": MlpSettings().hidden_units},
+                 id="70-32-True-default_widths"),
+]
+
+
+def reference_case(head, n, batch_size, changes):
+    """Inputs, targets, class labels and settings of one reference case, and
+    the one-hot or column targets that the reference descent takes."""
+    changes = dict(changes)
+    features, classes = changes.pop("features", 4), changes.pop("classes", 3)
     rng = np.random.default_rng(43)
-    x = rng.normal(3.0, 2.0, size=(n, 4))
-    settings = MlpSettings(hidden_units=6, epochs=12, batch_size=batch_size,
-                           learning_rate=0.05)
+    x = rng.normal(3.0, 2.0, size=(n, features))
+    settings = replace(MlpSettings(hidden_units=6, epochs=12, batch_size=batch_size,
+                                   learning_rate=0.05), **changes)
     if head == "softmax":
-        labels = ("a", "b", "c")
-        targets = [labels[i % 3] for i in range(n)]
+        labels = tuple("abcdef"[:classes])
+        targets = [labels[i % classes] for i in range(n)]
         y = np.array([[float(t == label) for label in labels] for t in targets])
     else:
         labels = None
         targets = rng.normal(size=n)
         y = targets.reshape(-1, 1)
-    model = train_mlp(x, targets, class_labels=labels, settings=settings, seed=8,
-                      standardize_inputs=standardize)
+    return x, targets, labels, settings, y
+
+
+def assert_matches_reference(model, x, y, head, settings, seed, standardize):
     x_ref = Standardizer.fit(x).transform(x) if standardize else x
-    params, log = reference_sgd(x_ref, y, head, settings, seed=8)
+    params, log = reference_sgd(x_ref, y, head, settings, seed=seed)
     for key in ("w1", "b1", "w2", "b2"):
         np.testing.assert_array_equal(getattr(model, key), params[key])
     assert model.training_log == log
+
+
+@pytest.mark.parametrize("head", ["softmax", "linear"])
+@pytest.mark.parametrize("n, batch_size, standardize, changes", REFERENCE_CASES)
+def test_training_matches_the_reference_descent(head, n, batch_size, standardize,
+                                                changes):
+    x, targets, labels, settings, y = reference_case(head, n, batch_size, changes)
+    model = train_mlp(x, targets, class_labels=labels, settings=settings, seed=8,
+                      standardize_inputs=standardize)
+    assert_matches_reference(model, x, y, head, settings, 8, standardize)
+
+
+@pytest.mark.parametrize("head", ["softmax", "linear"])
+@pytest.mark.parametrize("standardize", [True, False])
+def test_training_leaves_the_callers_arrays_unchanged(head, standardize):
+    x, targets, labels, settings, _ = reference_case(head, 33, 8, {})
+    targets = np.array(targets)
+    x_before, targets_before = x.copy(), targets.copy()
+    train_mlp(x, targets, class_labels=labels, settings=settings, seed=8,
+              standardize_inputs=standardize)
+    np.testing.assert_array_equal(x, x_before)
+    np.testing.assert_array_equal(targets, targets_before)
+
+
+def test_back_to_back_fits_equal_fresh_ones():
+    # fits of other shapes in between must leave nothing behind that a later
+    # fit reads: each equals the reference descent, and a repeat its first run
+    cases = [("softmax", 45, 8, True, {}), ("linear", 33, 32, False, {}),
+             ("softmax", 70, 32, True, {"features": 18, "classes": 6, "epochs": 3})]
+    first = []
+    for _ in range(2):
+        for head, n, batch_size, standardize, changes in cases:
+            x, targets, labels, settings, y = reference_case(head, n, batch_size, changes)
+            model = train_mlp(x, targets, class_labels=labels, settings=settings,
+                              seed=8, standardize_inputs=standardize)
+            assert_matches_reference(model, x, y, head, settings, 8, standardize)
+            first.append(model)
+    for a, b in zip(first[: len(cases)], first[len(cases) :]):
+        for key in ("w1", "b1", "w2", "b2"):
+            np.testing.assert_array_equal(getattr(a, key), getattr(b, key))
+        assert a.training_log == b.training_log
 
 
 def separable_data(rng, n_per=40):
@@ -219,6 +280,23 @@ def test_target_count_must_match_the_inputs(labels, count):
         train_mlp(np.zeros((6, 2)), targets, class_labels=labels)
 
 
+def test_repeated_class_label_is_an_error(tmp_path):
+    x = np.zeros((4, 2))
+    with pytest.raises(FitError, match="^class label 'a' is repeated$"):
+        train_mlp(x, ["a", "b", "a", "b"], class_labels=("a", "a", "b"))
+    payload = {"format": "mlp", "version": 1, "head": "softmax",
+               "class_labels": ["a", "a", "b"],
+               "w1": np.zeros((2, 3)).tolist(), "b1": [0.0] * 3,
+               "w2": np.zeros((3, 3)).tolist(), "b2": [0.0] * 3}
+    with pytest.raises(ValueError, match="^class label 'a' is repeated$"):
+        model_from_dict(payload)
+    path = tmp_path / "mlp.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError) as caught:
+        load_model(path)
+    assert str(caught.value) == f"{path}: class label 'a' is repeated"
+
+
 def test_unknown_label_is_an_error():
     x = np.zeros((4, 2))
     with pytest.raises(FitError, match="unknown class"):
@@ -267,6 +345,26 @@ def test_voting_takes_the_modal_class():
     np.testing.assert_allclose(result.probabilities, [2 / 3, 1 / 3])
     assert isinstance(result, ClassPrediction)
     del model
+
+
+def test_prediction_rejects_inputs_it_cannot_score():
+    hand = MlpModel(
+        w1=np.eye(1, 1), b1=np.zeros(1),
+        w2=np.array([[4.0, -4.0]]), b2=np.zeros(2),
+        head="softmax", class_labels=("a", "b"),
+    )
+    with pytest.raises(ValueError, match="^cannot vote on a bout with no windows$"):
+        classify_bout_voting(hand, np.empty((0, 1)))
+    for bad in (np.nan, np.inf):
+        rows = np.array([[1.0], [bad]])
+        for predict, inputs in ((predict_probabilities, rows), (predict_class, rows[1]),
+                                (classify_bout_voting, rows)):
+            with pytest.raises(ValueError, match="^input contains non-finite values$"):
+                predict(hand, inputs)
+    linear = MlpModel(w1=np.eye(1, 1), b1=np.zeros(1), w2=np.ones((1, 1)),
+                      b2=np.zeros(1), head="linear")
+    with pytest.raises(ValueError, match="^input contains non-finite values$"):
+        predict_values(linear, np.array([[0.0], [np.nan]]))
 
 
 def test_voting_tie_breaks_on_probability_mass():
@@ -339,8 +437,6 @@ def test_serialization_rejects_foreign_payloads(tmp_path):
 
 
 def test_model_dict_survives_json():
-    import json
-
     rng = np.random.default_rng(41)
     x, labels = separable_data(rng, n_per=8)
     model = train_mlp(x, labels, class_labels=("lo", "hi", "mid"),
