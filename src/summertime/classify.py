@@ -377,6 +377,8 @@ def train_mlp(inputs: np.ndarray, targets: Sequence[str] | np.ndarray,
 
 def _prepare(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
+    if inputs.ndim != 2:
+        raise ValueError(f"input must be 1-d or 2-d, got shape {inputs.shape}")
     if inputs.shape[1] != model.input_dim:
         raise ValueError(
             f"input has {inputs.shape[1]} features, model expects {model.input_dim}"

@@ -205,7 +205,6 @@ def cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 _STAGE_BY_ERROR = (
-    (ConfigError, "configuration"),
     (CorpusLoadError, "corpus loading"),
     (ConsistencyError, "internal consistency"),
     (FitError, "model fitting"),

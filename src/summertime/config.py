@@ -1,6 +1,7 @@
 """Pipeline configuration: defaults, JSON loading, validation, fingerprinting.
 
-The config document is flat JSON with one section per pipeline stage.  Every
+The fields of ``PipelineConfig`` are the schema: ``window_length`` plus one
+section per pipeline stage, whose messages name keys as ``section.key``.  Every
 key has a default, unknown keys are rejected by name, and command-line flags
 override file values through the same reader (``apply_overrides``).
 ``fingerprint`` hashes the fully resolved config so reports can state
@@ -49,7 +50,7 @@ class RegressionConfig:
         for name, allowed in (("mode", DESIGN_MODES), ("aggregation", AGGREGATIONS)):
             value = getattr(self, name)
             if value not in allowed:
-                raise ConfigError(f"regression.{name} must be "
+                raise ConfigError(f"{name} must be "
                                   f"{' or '.join(map(repr, allowed))}, got {value!r}")
 
 
@@ -59,15 +60,15 @@ class EvaluationConfig:
 
     def validate(self) -> None:
         if not self.methods:
-            raise ConfigError("evaluation.methods must list at least one method")
+            raise ConfigError("methods must list at least one method")
         for name in self.methods:
             if name not in METHOD_NAMES:
                 raise ConfigError(
-                    f"evaluation.methods contains unknown method {name!r}; "
+                    f"methods contains unknown method {name!r}; "
                     f"expected one of {', '.join(METHOD_NAMES)}"
                 )
         if len(set(self.methods)) != len(self.methods):
-            raise ConfigError("evaluation.methods contains duplicates")
+            raise ConfigError("methods contains duplicates")
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class IoConfig:
 
     def validate(self) -> None:
         if not self.out:
-            raise ConfigError("io.out must be a nonempty path")
+            raise ConfigError("out must be a nonempty path")
 
 
 @dataclass(frozen=True)
@@ -110,27 +111,15 @@ class PipelineConfig:
     def validate(self) -> "PipelineConfig":
         if self.window_length < 2:
             raise ConfigError("window_length must be >= 2")
-        for name in ("gmm", "mlp"):
+        for name in _SECTIONS:
             try:
                 getattr(self, name).validate()
-            except FitError as exc:
+            except (ConfigError, FitError) as exc:
                 raise ConfigError(f"{name}.{exc}") from None
-        self.regression.validate()
-        self.evaluation.validate()
-        self.synthetic.validate()
-        self.io.validate()
         return self
 
     def to_dict(self) -> dict:
-        return {
-            "window_length": self.window_length,
-            "gmm": asdict(self.gmm),
-            "mlp": asdict(self.mlp),
-            "regression": asdict(self.regression),
-            "evaluation": {"methods": list(self.evaluation.methods)},
-            "synthetic": asdict(self.synthetic),
-            "io": asdict(self.io),
-        }
+        return asdict(self)
 
     def semantic_dict(self) -> dict:
         """Config minus execution plumbing (input and output paths).
@@ -152,14 +141,8 @@ class PipelineConfig:
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-_SECTIONS = {
-    "gmm": GmmConfig,
-    "mlp": MlpConfig,
-    "regression": RegressionConfig,
-    "evaluation": EvaluationConfig,
-    "synthetic": SyntheticSection,
-    "io": IoConfig,
-}
+_FIELDS = get_type_hints(PipelineConfig)
+_SECTIONS = {name: cls for name, cls in _FIELDS.items() if name != "window_length"}
 
 
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
@@ -214,16 +197,14 @@ def config_from_dict(payload: dict) -> PipelineConfig:
     """Build and validate a config; unknown keys raise naming the offender."""
     if not isinstance(payload, dict):
         raise ConfigError("config document must be a JSON object")
-    known_top = {"window_length"} | set(_SECTIONS)
     for key in payload:
-        if key not in known_top:
+        if key not in _FIELDS:
             raise ConfigError(f"unknown config key {key}")
     kwargs: dict[str, Any] = {}
-    if "window_length" in payload:
-        kwargs["window_length"] = _checked("window_length", int, payload["window_length"])
-    for name, cls in _SECTIONS.items():
+    for name, hint in _FIELDS.items():
         if name in payload:
-            kwargs[name] = _build_section(name, cls, payload[name])
+            build = _build_section if name in _SECTIONS else _checked
+            kwargs[name] = build(name, hint, payload[name])
     return PipelineConfig(**kwargs).validate()
 
 

@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 import numpy as np
 
@@ -117,9 +117,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.bouts)
-
-    def __iter__(self) -> Iterator[Bout]:
-        return iter(self.bouts)
 
     @property
     def subject_ids(self) -> tuple[str, ...]:
@@ -506,11 +503,11 @@ class SyntheticConfig:
 
     def validate(self) -> None:
         if self.subjects < 1:
-            raise ConfigError("synthetic.subjects must be positive")
+            raise ConfigError("subjects must be positive")
         if self.bouts_per_class < 1:
-            raise ConfigError("synthetic.bouts_per_class must be positive")
+            raise ConfigError("bouts_per_class must be positive")
         if self.window_length < 2:
-            raise ConfigError("synthetic.window_length must be >= 2")
+            raise ConfigError("window_length must be >= 2")
         if len(self.regimes) < 2:
             raise ConfigError("synthetic corpora need at least 2 class regimes")
         for regime in self.regimes:

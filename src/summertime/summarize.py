@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .features import WindowFeatures
+from .features import WindowFeatures, stack_features
 from .vbgmm import MixtureModel, assign
 
 
@@ -48,14 +48,6 @@ class SummaryVector:
         object.__setattr__(self, "ratios", ratios)
 
 
-def _require_width(model: MixtureModel, features: WindowFeatures) -> None:
-    width = features.matrix.shape[1]
-    if width != model.dim:
-        raise ValueError(
-            f"bout {features.bout_id!r}: {width} features, model expects {model.dim}"
-        )
-
-
 def _summary(features: WindowFeatures, labels: np.ndarray, k: int) -> SummaryVector:
     """The summary of one bout from its windows' component labels."""
     counts = np.bincount(labels, minlength=k).astype(float)
@@ -69,8 +61,7 @@ def _summary(features: WindowFeatures, labels: np.ndarray, k: int) -> SummaryVec
 
 
 def summarize_bout(model: MixtureModel, features: WindowFeatures) -> SummaryVector:
-    _require_width(model, features)
-    return _summary(features, assign(model, features.matrix), model.component_count)
+    return summarize_corpus(model, [features])[0]
 
 
 def summarize_corpus(model: MixtureModel,
@@ -79,8 +70,12 @@ def summarize_corpus(model: MixtureModel,
     if not features:
         return []
     for f in features:
-        _require_width(model, f)
-    labels = assign(model, np.vstack([f.matrix for f in features]))
+        width = f.matrix.shape[1]
+        if width != model.dim:
+            raise ValueError(
+                f"bout {f.bout_id!r}: {width} features, model expects {model.dim}"
+            )
+    labels = assign(model, stack_features(features))
     ends = np.cumsum([f.window_count for f in features])
     return [_summary(f, part, model.component_count)
             for f, part in zip(features, np.split(labels, ends[:-1]))]

@@ -365,6 +365,13 @@ def test_prediction_rejects_inputs_it_cannot_score():
                       b2=np.zeros(1), head="linear")
     with pytest.raises(ValueError, match="^input contains non-finite values$"):
         predict_values(linear, np.array([[0.0], [np.nan]]))
+    # A 3-d array whose second axis matches the input width is still rejected.
+    cube = np.zeros((4, 1, 1))
+    for predict, model in ((predict_values, linear), (predict_probabilities, hand),
+                           (classify_bout_voting, hand)):
+        with pytest.raises(ValueError,
+                           match=r"^input must be 1-d or 2-d, got shape \(4, 1, 1\)$"):
+            predict(model, cube)
 
 
 def test_voting_tie_breaks_on_probability_mass():

@@ -1,6 +1,8 @@
 """Config loading, validation, overrides and semantic fingerprints."""
 
 import json
+from dataclasses import is_dataclass
+from typing import get_type_hints
 
 import pytest
 
@@ -36,6 +38,46 @@ def test_unknown_keys_are_named():
     with pytest.raises(ConfigError,
                        match="unknown config key evaluation.parallel_folds"):
         config_from_dict({"evaluation": {"parallel_folds": 1}})
+
+
+# Every section of PipelineConfig with one key, a valid non-default value and
+# an out-of-range value for it.
+SECTION_CASES = {
+    "gmm": ("k_max", 5, 0),
+    "mlp": ("epochs", 7, 0),
+    "regression": ("mode", "window_only", "bogus"),
+    "evaluation": ("methods", ["ann_voting", "summertime"], []),
+    "synthetic": ("subjects", 4, 0),
+    "io": ("out", "elsewhere", ""),
+}
+SECTIONS = [name for name, hint in get_type_hints(PipelineConfig).items()
+            if is_dataclass(hint)]
+
+
+def test_every_section_has_a_schema_case():
+    assert set(SECTION_CASES) == set(SECTIONS)
+
+
+@pytest.mark.parametrize("section", SECTIONS)
+def test_every_section_follows_the_schema_rule(section):
+    key, good, bad = SECTION_CASES[section]
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({section: {"no_such_key": 1}})
+    assert str(info.value) == f"unknown config key {section}.no_such_key"
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({section: {key: bad}})
+    message = str(info.value)
+    assert message.startswith(f"{section}.{key} ")
+    assert not message.startswith(f"{section}.{section}.")
+    config = config_from_dict({section: {key: good}})
+    assert config != PipelineConfig()
+    assert config_from_dict(config.to_dict()) == config
+
+
+def test_unknown_top_level_key_wins_over_section_keys():
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({"gmm": {"x": 1}, "nonsense": {}})
+    assert str(info.value) == "unknown config key nonsense"
 
 
 def test_value_validation_messages():

@@ -150,6 +150,8 @@ def test_summarize_corpus_edge_cases(mixture):
     wide = WindowFeatures("wide-bout", "s", "Walk", np.zeros((3, 5)))
     with pytest.raises(ValueError, match="'wide-bout': 5 features, model expects 2"):
         summarize_corpus(mixture, [good, wide])
+    with pytest.raises(ValueError, match="^bout 'wide-bout': 5 features, model expects 2$"):
+        summarize_bout(mixture, wide)
 
 
 def test_ragged_summaries_are_rejected_naming_the_bout(tmp_path):
