@@ -27,11 +27,22 @@ METHOD_NAMES = ("summertime", "ann_voting", "linreg_local", "fivereg_ann",
                 "ann_regression")
 
 
+def _require_seed(seed: int) -> None:
+    # numpy rejects negative seeds only when a generator is built, and its
+    # message names no key.
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
+
+
 @dataclass(frozen=True)
 class GmmConfig(FitSettings):
     """The ``gmm`` section: mixture fit settings plus the whole-corpus fit seed."""
 
     seed: int = 0
+
+    def validate(self) -> None:
+        super().validate()
+        _require_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -39,6 +50,10 @@ class MlpConfig(MlpSettings):
     """The ``mlp`` section: network settings plus the whole-corpus fit seed."""
 
     seed: int = 0
+
+    def validate(self) -> None:
+        super().validate()
+        _require_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -86,6 +101,7 @@ class SyntheticSection:
 
     def validate(self) -> None:
         SyntheticConfig(subjects=self.subjects, bouts_per_class=self.bouts_per_class).validate()
+        _require_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,15 @@ Coordinate-ascent inference for a mixture with a symmetric Dirichlet prior on
 the weights and independent Gaussian-Wishart priors on each component's mean
 and precision.  A near-zero Dirichlet concentration drives the posterior
 weight of unneeded components toward zero, so fitting with a generous
-component budget and discarding components below a small weight floor selects
-the component count from the data.
+component budget selects the component count from the data.  After each
+E-step, every component whose expected count N_k falls below the training
+size times a small weight floor leaves the fit, and the remaining
+responsibilities are renormalized; later iterations update, score and bound
+the live components only.  Under the default floor, a tenth of one point, a
+component leaves once it is empty, and the bound has stayed nondecreasing
+across every prune measured.  A floor above the weight that a real cluster
+holds mid-fit drops that cluster's points onto the others; the bound then
+falls and the fit raises ConsistencyError.
 
 Fitting runs in z-scored feature space under a fixed prior: zero mean and
 identity Wishart scale.  Each iteration computes the component counts, means
@@ -95,7 +102,9 @@ class FitSettings:
     nu0: float | None = None  # None: feature dimension + 1
     tol: float = 1e-6
     max_iter: int = 500
-    weight_floor: float | None = None  # None: 1 / (10 * training size)
+    # A component leaves the fit during CAVI once its weight falls below
+    # this.  None: 1 / (10 * training size), a tenth of one point.
+    weight_floor: float | None = None
 
     def validate(self) -> None:
         if self.k_max < 1:
@@ -205,10 +214,13 @@ def component_log_scores(model: MixtureModel, data: np.ndarray) -> np.ndarray:
     return np.log(model.weights)[None, :] + _z_log_component_densities(model, data)
 
 
+def _softmax_rows(log_weights: np.ndarray) -> np.ndarray:
+    return np.exp(log_weights - logsumexp(log_weights, axis=1, keepdims=True))
+
+
 def responsibilities(model: MixtureModel, data: np.ndarray) -> np.ndarray:
     """(N, K) posterior component probabilities; rows sum to 1."""
-    scores = component_log_scores(model, data)
-    return np.exp(scores - logsumexp(scores, axis=1, keepdims=True))
+    return _softmax_rows(component_log_scores(model, data))
 
 
 def assign(model: MixtureModel, data: np.ndarray) -> np.ndarray:
@@ -396,13 +408,20 @@ def _floor_covariance(cov: np.ndarray) -> np.ndarray:
     return 0.5 * (floored + floored.T)
 
 
+def _clearing_floor(nk: np.ndarray, min_count: float) -> np.ndarray:
+    """The pruning rule: indices of the components whose expected count N_k
+    reaches ``min_count``, the training size times the weight floor."""
+    return np.flatnonzero(nk >= min_count)
+
+
 def fit_mixture(data: np.ndarray, settings: FitSettings | None = None,
                 seed: int = 0) -> MixtureModel:
     """Fit the mixture to (N, D) training data.
 
     Raises FitError on invalid settings, non-finite input or too few points;
     raises ConsistencyError if the objective ever decreases by more than
-    1e-8, which would indicate a broken update, not bad data.
+    1e-8, which indicates a broken update or a weight floor above what a
+    real cluster holds mid-fit, not bad data.
     """
     settings = settings or FitSettings()
     settings.validate()
@@ -422,6 +441,9 @@ def fit_mixture(data: np.ndarray, settings: FitSettings | None = None,
     z = standardizer.transform(data)
     k = min(settings.k_max, n)
     alpha0, beta0 = settings.dirichlet_alpha0, settings.beta0
+
+    floor = settings.weight_floor if settings.weight_floor is not None else 1.0 / (10.0 * n)
+    min_count = n * floor
 
     rng = np.random.default_rng(seed)
     resp = _initial_responsibilities(z, k, rng)
@@ -445,15 +467,18 @@ def fit_mixture(data: np.ndarray, settings: FitSettings | None = None,
         if converged:
             break
         log_lik = _expected_log_likelihood_terms(z, post)
-        resp = np.exp(log_lik - logsumexp(log_lik, axis=1, keepdims=True))
+        resp = _softmax_rows(log_lik)
+        # Components below the floor leave the fit.  When none clears it, all
+        # stay and the last step keeps the heaviest: collapsing mid-fit would
+        # strand the other components' points and lower the bound.
+        live = _clearing_floor(resp.sum(axis=0), min_count)
+        if 0 < live.size < resp.shape[1]:
+            resp = _softmax_rows(log_lik[:, live])
 
-    weights = post.alpha / post.alpha.sum()
-    floor = settings.weight_floor if settings.weight_floor is not None else 1.0 / (10.0 * n)
-    keep = np.flatnonzero(weights >= floor)
+    keep = _clearing_floor(post.nk, min_count)
     if keep.size == 0:
-        keep = np.array([int(np.argmax(weights))])
-    weights = weights[keep]
-    weights = weights / weights.sum()
+        keep = np.array([int(np.argmax(post.nk))])
+    weights = post.alpha[keep] / post.alpha[keep].sum()
 
     scale = standardizer.std
     means = standardizer.inverse(post.m[keep])

@@ -149,6 +149,14 @@ def test_bad_method_name_is_a_config_error(tmp_path, capsys):
     assert "configuration error" in err and "sumertime" in err
 
 
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    code = main(["generate", "--seed", "-1", "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert ("configuration error: synthetic.seed must be nonnegative"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "c").exists()
+
+
 def test_missing_corpus_directory_fails_with_corpus_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     code = main(["featurize", "--config", cfg, "--corpus",

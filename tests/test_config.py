@@ -119,6 +119,9 @@ def test_value_validation_messages():
         ({"synthetic": {"subjects": 0}}, "synthetic.subjects must be positive"),
         ({"synthetic": {"bouts_per_class": 0}},
          "synthetic.bouts_per_class must be positive"),
+        ({"gmm": {"seed": -3}}, "gmm.seed must be nonnegative"),
+        ({"mlp": {"seed": -1}}, "mlp.seed must be nonnegative"),
+        ({"synthetic": {"seed": -1}}, "synthetic.seed must be nonnegative"),
     ]:
         with pytest.raises(ConfigError) as info:
             config_from_dict(payload)
@@ -126,6 +129,8 @@ def test_value_validation_messages():
     # Numbers where a float is due, and null where None is allowed, pass.
     config = config_from_dict({"gmm": {"tol": 1, "nu0": None, "weight_floor": 0.5}})
     assert config.gmm.tol == 1 and config.gmm.nu0 is None
+    config = config_from_dict({"gmm": {"seed": 0}, "mlp": {"seed": 0}, "synthetic": {"seed": 0}})
+    assert (config.gmm.seed, config.mlp.seed, config.synthetic.seed) == (0, 0, 0)
 
 
 def test_integer_in_a_float_field_has_the_float_fingerprint():
