@@ -5,14 +5,13 @@ the weights and independent Gaussian-Wishart priors on each component's mean
 and precision.  A near-zero Dirichlet concentration drives the posterior
 weight of unneeded components toward zero, so fitting with a generous
 component budget selects the component count from the data.  After each
-E-step, every component whose expected count N_k falls below the training
-size times a small weight floor leaves the fit, and the remaining
-responsibilities are renormalized; later iterations update, score and bound
-the live components only.  Under the default floor, a tenth of one point, a
-component leaves once it is empty, and the bound has stayed nondecreasing
-across every prune measured.  A floor above the weight that a real cluster
-holds mid-fit drops that cluster's points onto the others; the bound then
-falls and the fit raises ConsistencyError.
+E-step, every empty component leaves the fit: one whose expected count N_k
+is below a tenth of one point, or below the training size times the weight
+floor if that is lower.  The remaining responsibilities are renormalized, and
+later iterations update, score and bound the live components only; the bound
+has stayed nondecreasing across every prune measured.  The configured weight
+floor is applied once, to the converged fit.  Applying a higher floor mid-fit
+would drop clusters that still hold real mass and strand their points.
 
 Fitting runs in z-scored feature space under a fixed prior: zero mean and
 identity Wishart scale.  Each iteration computes the component counts, means
@@ -44,6 +43,10 @@ LOG_2PI = math.log(2.0 * math.pi)
 # Smallest admissible covariance eigenvalue; keeps every reported component
 # usable as a density even when a cluster collapses onto a subspace.
 COVARIANCE_EIGENVALUE_FLOOR = 1e-6
+
+# Expected count below which a component is empty and leaves the fit during
+# CAVI: a tenth of one point, which is also the default weight floor.
+EMPTY_COUNT = 0.1
 
 
 @dataclass(frozen=True)
@@ -102,8 +105,8 @@ class FitSettings:
     nu0: float | None = None  # None: feature dimension + 1
     tol: float = 1e-6
     max_iter: int = 500
-    # A component leaves the fit during CAVI once its weight falls below
-    # this.  None: 1 / (10 * training size), a tenth of one point.
+    # Components whose weight ends below this are dropped from the fitted
+    # model.  None: 1 / (10 * training size), a tenth of one point.
     weight_floor: float | None = None
 
     def validate(self) -> None:
@@ -408,20 +411,13 @@ def _floor_covariance(cov: np.ndarray) -> np.ndarray:
     return 0.5 * (floored + floored.T)
 
 
-def _clearing_floor(nk: np.ndarray, min_count: float) -> np.ndarray:
-    """The pruning rule: indices of the components whose expected count N_k
-    reaches ``min_count``, the training size times the weight floor."""
-    return np.flatnonzero(nk >= min_count)
-
-
 def fit_mixture(data: np.ndarray, settings: FitSettings | None = None,
                 seed: int = 0) -> MixtureModel:
     """Fit the mixture to (N, D) training data.
 
     Raises FitError on invalid settings, non-finite input or too few points;
     raises ConsistencyError if the objective ever decreases by more than
-    1e-8, which indicates a broken update or a weight floor above what a
-    real cluster holds mid-fit, not bad data.
+    1e-8, which would indicate a broken update, not bad data.
     """
     settings = settings or FitSettings()
     settings.validate()
@@ -442,8 +438,10 @@ def fit_mixture(data: np.ndarray, settings: FitSettings | None = None,
     k = min(settings.k_max, n)
     alpha0, beta0 = settings.dirichlet_alpha0, settings.beta0
 
-    floor = settings.weight_floor if settings.weight_floor is not None else 1.0 / (10.0 * n)
-    min_count = n * floor
+    # The weight floor as an expected count.  Only empty components leave
+    # during the loop; the floor itself is applied to the converged fit.
+    min_count = EMPTY_COUNT if settings.weight_floor is None else n * settings.weight_floor
+    empty_count = min(min_count, EMPTY_COUNT)
 
     rng = np.random.default_rng(seed)
     resp = _initial_responsibilities(z, k, rng)
@@ -468,14 +466,12 @@ def fit_mixture(data: np.ndarray, settings: FitSettings | None = None,
             break
         log_lik = _expected_log_likelihood_terms(z, post)
         resp = _softmax_rows(log_lik)
-        # Components below the floor leave the fit.  When none clears it, all
-        # stay and the last step keeps the heaviest: collapsing mid-fit would
-        # strand the other components' points and lower the bound.
-        live = _clearing_floor(resp.sum(axis=0), min_count)
-        if 0 < live.size < resp.shape[1]:
+        # Some column holds at least n / k >= 1 point, so one always stays.
+        live = np.flatnonzero(resp.sum(axis=0) >= empty_count)
+        if live.size < resp.shape[1]:
             resp = _softmax_rows(log_lik[:, live])
 
-    keep = _clearing_floor(post.nk, min_count)
+    keep = np.flatnonzero(post.nk >= min_count)
     if keep.size == 0:
         keep = np.array([int(np.argmax(post.nk))])
     weights = post.alpha[keep] / post.alpha[keep].sum()

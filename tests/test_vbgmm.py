@@ -293,18 +293,34 @@ def test_update_after_a_prune_matches_the_per_point_textbook_bound(monkeypatch):
 
 
 def test_in_loop_pruning_edge_cases():
-    # No component ever holds 90% of three equal blobs: the loop keeps every
-    # component and the fit ends with the heaviest alone.
+    # No component ever holds 90% of three equal blobs: only empty components
+    # leave during the loop, and the fit ends with the heaviest alone.
     data = three_blob_data(np.random.default_rng(0))
     model = fit_mixture(data, FitSettings(k_max=10, weight_floor=0.9), seed=0)
     assert model.component_count == 1
     assert model.weights.tolist() == [1.0]
     assert len(model.elbo_trace) < FitSettings().max_iter
     two = np.array([[0.0, 1.0], [2.0, 3.0]])
-    assert fit_mixture(two, FitSettings(k_max=1)).component_count == 1
+    model = fit_mixture(two, FitSettings(k_max=1))
+    assert (model.component_count, len(model.elbo_trace)) == (1, 2)
     model = fit_mixture(two)
-    assert model.component_count in (1, 2)
+    assert (model.component_count, len(model.elbo_trace)) == (2, 6)
     assert np.all(np.diff(model.elbo_trace) >= -1e-8)
+
+
+def test_a_high_weight_floor_drops_only_the_light_cluster():
+    # The 60-point blob holds 60/660 < 0.1 of the points.  It stays in the
+    # fit until the end, so its points are not stranded mid-fit, and the
+    # floor then drops it: two components of equal weight at every seed.
+    rng = np.random.default_rng(0)
+    centers = [[0.0, 0.0], [20.0, 0.0], [0.0, 20.0]]
+    data = np.vstack([rng.normal(c, 1.0, size=(size, 2))
+                      for c, size in zip(centers, (300, 300, 60))])
+    for seed in range(6):
+        model = fit_mixture(data, FitSettings(k_max=10, weight_floor=0.1), seed=seed)
+        assert model.component_count == 2, seed
+        np.testing.assert_allclose(model.weights, 0.5, rtol=1e-12)
+        assert np.all(np.diff(model.elbo_trace) >= -1e-8), seed
 
 
 def test_prior_degrees_of_freedom_floor():
