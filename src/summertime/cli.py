@@ -230,7 +230,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         print(f"{stage} failed: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -228,7 +228,7 @@ def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
         payload = json.loads(text)

@@ -20,6 +20,7 @@ On disk a corpus is a directory with:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -209,6 +210,14 @@ def save_corpus(corpus: Corpus, path: str | Path,
         fh.write("\n")
 
 
+def _open_text(path: Path) -> io.StringIO:
+    """Read a corpus file as ``open(path, newline="")`` would; non-UTF-8 names it."""
+    try:
+        return io.StringIO(path.read_bytes().decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        raise CorpusLoadError(f"{path}: {exc}") from None
+
+
 def _parse_float(text: str, where: str) -> float:
     try:
         value = float(text)
@@ -223,7 +232,7 @@ def _load_bout_file(path: Path, bout_id: str, subject_id: str, label: str,
                     window_length: int) -> Bout:
     if not path.is_file():
         raise CorpusLoadError(f"{path}: bout file is missing")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -323,7 +332,7 @@ def load_corpus(path: str | Path,
     meta_path = root / PROVENANCE_NAME
     if meta_path.is_file():
         try:
-            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            meta = json.load(_open_text(meta_path))
         except json.JSONDecodeError as exc:
             raise CorpusLoadError(f"{meta_path}: invalid JSON ({exc})") from None
         if not isinstance(meta, dict):
@@ -341,7 +350,7 @@ def load_corpus(path: str | Path,
             f"{meta['window_length']} but is loaded with window_length {window_length}"
         )
 
-    with open(manifest, newline="", encoding="utf-8") as fh:
+    with _open_text(manifest) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -4,14 +4,13 @@ Coordinate-ascent inference for a mixture with a symmetric Dirichlet prior on
 the weights and independent Gaussian-Wishart priors on each component's mean
 and precision.  A near-zero Dirichlet concentration drives the posterior
 weight of unneeded components toward zero, so fitting with a generous
-component budget selects the component count from the data.  After each
-E-step, every empty component leaves the fit: one whose expected count N_k
-is below a tenth of one point, or below the training size times the weight
-floor if that is lower.  The remaining responsibilities are renormalized, and
-later iterations update, score and bound the live components only; the bound
-has stayed nondecreasing across every prune measured.  The configured weight
-floor is applied once, to the converged fit.  Applying a higher floor mid-fit
-would drop clusters that still hold real mass and strand their points.
+component budget selects the component count from the data.  One rule
+decides which components a fit keeps: a component whose expected count N_k
+is below a tenth of one point is empty.  After each E-step every empty
+component leaves the fit, the remaining responsibilities are renormalized,
+and later iterations update, score and bound the live components only; the
+bound has stayed nondecreasing across every prune measured.  The fitted
+model keeps the components of the last posterior that are not empty.
 
 Fitting runs in z-scored feature space under a fixed prior: zero mean and
 identity Wishart scale.  Each iteration computes the component counts, means
@@ -44,8 +43,8 @@ LOG_2PI = math.log(2.0 * math.pi)
 # usable as a density even when a cluster collapses onto a subspace.
 COVARIANCE_EIGENVALUE_FLOOR = 1e-6
 
-# Expected count below which a component is empty and leaves the fit during
-# CAVI: a tenth of one point, which is also the default weight floor.
+# Expected count below which a component is empty: a tenth of one point.
+# Empty components leave the fit during CAVI and the fitted model.
 EMPTY_COUNT = 0.1
 
 
@@ -91,7 +90,7 @@ class Standardizer:
 
 @dataclass(frozen=True)
 class FitSettings:
-    """Component budget, stopping rule, weight floor and prior hyperparameters.
+    """Component budget, stopping rule and prior hyperparameters.
 
     The prior acts in z-scored space: a symmetric Dirichlet with
     concentration ``dirichlet_alpha0`` on the weights, and per component a
@@ -105,9 +104,6 @@ class FitSettings:
     nu0: float | None = None  # None: feature dimension + 1
     tol: float = 1e-6
     max_iter: int = 500
-    # Components whose weight ends below this are dropped from the fitted
-    # model.  None: 1 / (10 * training size), a tenth of one point.
-    weight_floor: float | None = None
 
     def validate(self) -> None:
         if self.k_max < 1:
@@ -120,8 +116,6 @@ class FitSettings:
             raise FitError("tol must be positive")
         if self.max_iter < 1:
             raise FitError("max_iter must be positive")
-        if self.weight_floor is not None and not 0 < self.weight_floor < 1:
-            raise FitError("weight_floor must be in (0, 1)")
         for name in ("dirichlet_alpha0", "beta0", "nu0", "tol"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -438,11 +432,6 @@ def fit_mixture(data: np.ndarray, settings: FitSettings | None = None,
     k = min(settings.k_max, n)
     alpha0, beta0 = settings.dirichlet_alpha0, settings.beta0
 
-    # The weight floor as an expected count.  Only empty components leave
-    # during the loop; the floor itself is applied to the converged fit.
-    min_count = EMPTY_COUNT if settings.weight_floor is None else n * settings.weight_floor
-    empty_count = min(min_count, EMPTY_COUNT)
-
     rng = np.random.default_rng(seed)
     resp = _initial_responsibilities(z, k, rng)
 
@@ -467,13 +456,13 @@ def fit_mixture(data: np.ndarray, settings: FitSettings | None = None,
         log_lik = _expected_log_likelihood_terms(z, post)
         resp = _softmax_rows(log_lik)
         # Some column holds at least n / k >= 1 point, so one always stays.
-        live = np.flatnonzero(resp.sum(axis=0) >= empty_count)
+        live = np.flatnonzero(resp.sum(axis=0) >= EMPTY_COUNT)
         if live.size < resp.shape[1]:
             resp = _softmax_rows(log_lik[:, live])
 
-    keep = np.flatnonzero(post.nk >= min_count)
-    if keep.size == 0:
-        keep = np.array([int(np.argmax(post.nk))])
+    # Only the first posterior, from the start, can hold empty columns (from
+    # duplicate centres); it is the last when the loop stops after one step.
+    keep = np.flatnonzero(post.nk >= EMPTY_COUNT)
     weights = post.alpha[keep] / post.alpha[keep].sum()
 
     scale = standardizer.std

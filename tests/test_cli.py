@@ -165,6 +165,19 @@ def test_missing_corpus_directory_fails_with_corpus_error(tmp_path, capsys):
     assert "corpus loading failed" in capsys.readouterr().err
 
 
+def test_an_out_path_that_is_a_file_fails_without_a_traceback(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    taken = tmp_path / "c" / "manifest.csv"
+    for command in (["generate"], ["run", "--corpus", str(tmp_path / "c")]):
+        capsys.readouterr()
+        assert main([*command, "--config", cfg, "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert any(line.startswith("error: ") and str(taken) in line
+                   for line in err.splitlines())
+        assert "Traceback" not in err
+
+
 def test_report_json_is_byte_identical_across_runs(tmp_path):
     cfg = write_config(tmp_path)
     for name in ("r1", "r2"):

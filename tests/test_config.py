@@ -1,11 +1,14 @@
 """Config loading, validation, overrides and semantic fingerprints."""
 
 import json
-from dataclasses import is_dataclass
+import re
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
 
+from summertime.classify import MlpSettings
 from summertime.config import (
     METHOD_NAMES,
     PipelineConfig,
@@ -14,6 +17,7 @@ from summertime.config import (
     load_config,
 )
 from summertime.errors import ConfigError
+from summertime.vbgmm import FitSettings
 
 
 def test_defaults_validate():
@@ -38,6 +42,8 @@ def test_unknown_keys_are_named():
     with pytest.raises(ConfigError,
                        match="unknown config key evaluation.parallel_folds"):
         config_from_dict({"evaluation": {"parallel_folds": 1}})
+    with pytest.raises(ConfigError, match="unknown config key gmm.weight_floor"):
+        config_from_dict({"gmm": {"weight_floor": 0.1}})
 
 
 # Every section of PipelineConfig with one key, a valid non-default value and
@@ -108,7 +114,6 @@ def test_value_validation_messages():
     # Range checks live in the stage settings; the section name is prefixed.
     for payload, message in [
         ({"gmm": {"k_max": 0}}, "gmm.k_max must be positive"),
-        ({"gmm": {"weight_floor": 1.0}}, "gmm.weight_floor must be in (0, 1)"),
         ({"mlp": {"learning_rate": -1}}, "mlp.learning_rate must be positive"),
         ({"mlp": {"l2_penalty": -1}}, "mlp.l2_penalty must be nonnegative"),
         ({"gmm": {"tol": float("nan")}}, "gmm.tol must be finite"),
@@ -127,7 +132,7 @@ def test_value_validation_messages():
             config_from_dict(payload)
         assert str(info.value) == message
     # Numbers where a float is due, and null where None is allowed, pass.
-    config = config_from_dict({"gmm": {"tol": 1, "nu0": None, "weight_floor": 0.5}})
+    config = config_from_dict({"gmm": {"tol": 1, "nu0": None}})
     assert config.gmm.tol == 1 and config.gmm.nu0 is None
     config = config_from_dict({"gmm": {"seed": 0}, "mlp": {"seed": 0}, "synthetic": {"seed": 0}})
     assert (config.gmm.seed, config.mlp.seed, config.synthetic.seed) == (0, 0, 0)
@@ -171,6 +176,26 @@ def test_load_config_rejects_bad_json(tmp_path):
         assert str(info.value) == message
 
 
+def test_load_config_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_bytes(b'\xff{"gmm": {}}')
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value).startswith(f"cannot read config {path}: 'utf-8' codec")
+
+
+def test_readme_config_docs_match_the_settings():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"```json\n(.*?)```", readme, re.DOTALL)
+    config_from_dict(json.loads(example.group(1)))
+    for section, settings in (("gmm", FitSettings), ("mlp", MlpSettings)):
+        prose = re.search(rf"`{section}` keys are the fields of `[\w.]+`\s+\(([^)]*)\)"
+                          rf"\s+plus\s+`seed`", readme)
+        assert prose, section
+        listed = re.findall(r"`(\w+)`", prose.group(1))
+        assert sorted(listed) == sorted(field.name for field in fields(settings)), section
+
+
 def test_overrides_win_over_file_values():
     config = PipelineConfig()
     updated = apply_overrides(
@@ -209,12 +234,12 @@ def test_semantic_dict_drops_execution_keys():
 def test_default_config_is_pinned():
     config = PipelineConfig()
     assert config.fingerprint() == (
-        "de4c752a86dd772e37549f933e9a135195323a9ea83f2b808e2cb96334130a95"
+        "679995f7f7c2171739d2ab363e9f48523cd7b4d72a6d50147a5492a164ece552"
     )
     assert {name: sorted(section) for name, section in config.to_dict().items()
             if isinstance(section, dict)} == {
         "gmm": ["beta0", "dirichlet_alpha0", "k_max", "max_iter", "nu0", "seed",
-                "tol", "weight_floor"],
+                "tol"],
         "mlp": ["batch_size", "epochs", "hidden_units", "l2_penalty",
                 "learning_rate", "seed"],
         "regression": ["aggregation", "mode"],

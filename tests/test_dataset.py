@@ -126,6 +126,16 @@ def test_load_rejects_a_provenance_file_that_is_not_an_object(tmp_path, sidecar)
     assert str(info.value) == f"{meta_path}: {BAD_SIDECARS[sidecar]}"
 
 
+@pytest.mark.parametrize("name", ["s1_Sed.csv", "manifest.csv", "provenance.json"])
+def test_load_names_a_file_that_is_not_utf8(tmp_path, name):
+    save_corpus(small_corpus(), tmp_path / "c")
+    path = tmp_path / "c" / name
+    path.write_bytes(b"\xff" + path.read_bytes())
+    with pytest.raises(CorpusLoadError) as info:
+        load_corpus(tmp_path / "c", window_length=12)
+    assert str(info.value).startswith(f"{path}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_load_reports_file_and_line_for_bad_manifest(tmp_path):
     corpus = small_corpus()
     save_corpus(corpus, tmp_path / "c")
