@@ -23,8 +23,12 @@ per batch size (the full batch and the remainder), so a step allocates
 nothing, while ``loss_and_gradients`` gets fresh arrays.  Each element sees
 the same float operations in the same order either way, so the in-place step
 reproduces plain descent on ``loss_and_gradients`` bit for bit.  The step
-computes no loss; the per-epoch ``training_log`` entry comes from a forward
-pass alone.
+computes no loss.  Each batch's forward pass writes its logits into that
+batch's rows of one epoch-long buffer, and the epoch's ``training_log``
+entry is the mean data loss of that buffer: every example scored at the
+parameters its batch stepped from, with no second pass over the training
+set.  After each epoch, a non-finite loss or parameter stops the fit as
+diverged.
 """
 
 from __future__ import annotations
@@ -78,7 +82,9 @@ def _repeated_label(labels: Sequence[str]) -> str | None:
 class MlpModel:
     """Fitted network.  ``head`` is 'softmax' (class_labels set) or 'linear'.
 
-    ``training_log`` records the mean per-example data loss after each epoch.
+    ``training_log`` holds one entry per epoch: the mean per-example data loss
+    (no L2 term) over that epoch's batches, each example scored at the
+    parameters its batch stepped from.
     ``input_standardizer`` is applied before the forward pass when present;
     summary inputs already live on the simplex and are trained raw.
     """
@@ -190,21 +196,13 @@ def _softmax(logits: np.ndarray, out: np.ndarray | None = None,
     return np.divide(out, row, out=out)
 
 
-def _loss(output: np.ndarray, y: np.ndarray, head: str, w1: np.ndarray,
-          w2: np.ndarray, l2_penalty: float) -> float:
-    """Mean data loss of a forward pass plus 0.5 * l2 * (|w1|^2 + |w2|^2).
-
-    The penalty term is formed even when ``l2_penalty`` is 0, so non-finite
-    weights make the loss NaN and training reports divergence.
-    """
+def _data_loss(output: np.ndarray, y: np.ndarray, head: str) -> float:
+    """Mean per-example data loss of the outputs ``output`` against ``y``."""
     if head == "softmax":
         probs = _softmax(output)
-        data_loss = float(-np.sum(y * np.log(np.maximum(probs, 1e-300))) / len(y))
-    else:
-        data_loss = float(0.5 * np.mean((output - y) ** 2))
-    return data_loss + 0.5 * l2_penalty * (
-        float(np.sum(w1 ** 2)) + float(np.sum(w2 ** 2))
-    )
+        return float(-np.add.reduce(y * np.log(np.maximum(probs, 1e-300)), axis=None)
+                     / len(y))
+    return float(0.5 * np.add.reduce((output - y) ** 2, axis=None) / len(y))
 
 
 def _output_delta(output: np.ndarray, y: np.ndarray, head: str,
@@ -212,8 +210,8 @@ def _output_delta(output: np.ndarray, y: np.ndarray, head: str,
                   row: np.ndarray | None = None) -> np.ndarray:
     """Gradient of the mean data loss with respect to the network outputs.
 
-    Written into ``out`` if given, which may be ``output`` itself; ``row`` is
-    the softmax's (N, 1) scratch buffer.
+    Written into ``out`` if given; ``row`` is the softmax's (N, 1) scratch
+    buffer.
     """
     if head == "softmax":
         output = _softmax(output, out, row)
@@ -257,7 +255,9 @@ def loss_and_gradients(params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarr
     """
     flat = _Flat.pack(params)
     hidden, output = _forward(x, flat.w1, flat.b1, flat.w2, flat.b2)
-    loss = _loss(output, y, head, flat.w1, flat.w2, l2_penalty)
+    loss = _data_loss(output, y, head) + 0.5 * l2_penalty * (
+        float(np.sum(flat.w1 ** 2)) + float(np.sum(flat.w2 ** 2))
+    )
     grads = _gradients(x, hidden, _output_delta(output, y, head), flat, l2_penalty)
     return loss, {key: getattr(grads, key) for key in _PARAM_KEYS}
 
@@ -340,6 +340,9 @@ def train_mlp(inputs: np.ndarray, targets: Sequence[str] | np.ndarray,
     # remainder) reuses that size's forward and backward buffers.
     grads, step = params.empty_like(), np.empty_like(params.vector)
     decay = np.empty_like(params.weights)
+    # Each batch writes its logits into its own rows of this epoch-long
+    # buffer, from which the epoch's loss is read.
+    logits = np.empty((n, output_dim))
     buffers = {}
     batches = []
     for start in range(0, n, size):
@@ -348,24 +351,23 @@ def train_mlp(inputs: np.ndarray, targets: Sequence[str] | np.ndarray,
             buffers[rows] = (np.empty((rows, settings.hidden_units)),
                              np.empty((rows, output_dim)), np.empty((rows, 1)),
                              np.empty((rows, settings.hidden_units)))
-        batches.append((start, start + rows, *buffers[rows]))
+        batches.append((start, start + rows, logits[start : start + rows],
+                        *buffers[rows]))
     training_log = []
     for _ in range(settings.epochs):
         order = rng.permutation(n)
         xs, ys = inputs[order], y[order]
-        for start, stop, hidden, output, row, delta_hidden in batches:
+        for start, stop, batch_logits, hidden, delta, row, delta_hidden in batches:
             x = xs[start:stop]
-            _forward(x, w1, b1, w2, b2, hidden, output)
-            delta = _output_delta(output, ys[start:stop], head, output, row)
+            _forward(x, w1, b1, w2, b2, hidden, batch_logits)
+            _output_delta(batch_logits, ys[start:stop], head, delta, row)
             _gradients(x, hidden, delta, params, l2, grads, delta_hidden, decay)
             np.multiply(lr, grads.vector, out=step)
             params.vector -= step
-        _, output = _forward(inputs, w1, b1, w2, b2)
-        epoch_loss = _loss(output, y, head, w1, w2, 0.0)
-        if not math.isfinite(epoch_loss):
-            raise FitError(
-                "training diverged (non-finite loss); try a smaller learning rate"
-            )
+        epoch_loss = _data_loss(logits, ys, head)
+        if not (math.isfinite(epoch_loss) and np.isfinite(params.vector).all()):
+            raise FitError("training diverged (non-finite loss or parameters); "
+                           "try a smaller learning rate")
         training_log.append(epoch_loss)
 
     return MlpModel(

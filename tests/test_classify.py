@@ -81,21 +81,36 @@ def test_l2_penalty_touches_weights_not_biases():
     np.testing.assert_allclose(fat["w1"] - lean["w1"], 0.5 * params["w1"], atol=1e-12)
 
 
+def reference_data_loss(logits, y, head):
+    """Mean per-example data loss of ``logits``, in plain numpy."""
+    if head == "softmax":
+        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs = shifted / shifted.sum(axis=1, keepdims=True)
+        return float(-np.sum(y * np.log(np.maximum(probs, 1e-300))) / len(y))
+    return float(0.5 * np.mean((logits - y) ** 2))
+
+
 def reference_sgd(x, y, head, settings, seed):
     """Plain minibatch descent on the objective, one loss_and_gradients per
-    batch and per epoch: what train_mlp must reproduce bit for bit."""
+    batch: what train_mlp must reproduce bit for bit.
+
+    An epoch's log entry is the data loss of every batch's logits at the
+    parameters that batch stepped from, stacked in the epoch's shuffled order.
+    """
     rng = np.random.default_rng(seed)
     params = _init_params(x.shape[1], settings.hidden_units, y.shape[1], rng)
     log = []
     for _ in range(settings.epochs):
         order = rng.permutation(len(x))
+        logits = []
         for start in range(0, len(x), settings.batch_size):
             batch = order[start : start + settings.batch_size]
+            hidden = np.tanh(x[batch] @ params["w1"] + params["b1"])
+            logits.append(hidden @ params["w2"] + params["b2"])
             _, grads = loss_and_gradients(params, x[batch], y[batch], head,
                                           settings.l2_penalty)
             params = {k: p - settings.learning_rate * grads[k] for k, p in params.items()}
-        loss, _ = loss_and_gradients(params, x, y, head, 0.0)
-        log.append(loss)
+        log.append(reference_data_loss(np.vstack(logits), y[order], head))
     return params, tuple(log)
 
 
@@ -160,6 +175,14 @@ def test_training_leaves_the_callers_arrays_unchanged(head, standardize):
               standardize_inputs=standardize)
     np.testing.assert_array_equal(x, x_before)
     np.testing.assert_array_equal(targets, targets_before)
+
+
+@pytest.mark.parametrize("head", ["softmax", "linear"])
+@pytest.mark.parametrize("n", [32, 45], ids=["whole_batches", "remainder_batch"])
+def test_training_log_holds_one_entry_per_epoch(head, n):
+    x, targets, labels, settings, _ = reference_case(head, n, 8, {"epochs": 7})
+    model = train_mlp(x, targets, class_labels=labels, settings=settings, seed=8)
+    assert len(model.training_log) == settings.epochs
 
 
 def test_back_to_back_fits_equal_fresh_ones():
@@ -310,6 +333,16 @@ def test_divergence_is_reported():
     y = rng.normal(0, 1e4, size=20)
     with pytest.raises(FitError, match="diverged"):
         train_mlp(x, y, settings=MlpSettings(epochs=400, learning_rate=10.0), seed=0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_last_step_that_breaks_only_the_biases_is_divergence():
+    # zero inputs and tanh(0) = 0 leave w1 and w2 untouched and the logged
+    # pre-step loss finite; the one step sends the biases to infinity
+    with pytest.raises(FitError, match="diverged"):
+        train_mlp(np.zeros((8, 3)), np.arange(8.0) * 10,
+                  settings=MlpSettings(epochs=1, batch_size=8, learning_rate=1e308,
+                                       l2_penalty=0.0))
 
 
 def test_input_standardizer_is_applied_at_predict_time():
