@@ -20,7 +20,7 @@ from typing import Any, Literal, Sequence, get_args, get_type_hints
 from .classify import MlpSettings
 from .dataset import DEFAULT_WINDOW_LENGTH, SyntheticConfig
 from .errors import ConfigError, FitError
-from .regress import AGGREGATIONS, DESIGN_MODES
+from .regress import AGGREGATIONS
 from .vbgmm import FitSettings
 
 METHOD_NAMES = ("summertime", "ann_voting", "linreg_local", "fivereg_ann",
@@ -58,15 +58,12 @@ class MlpConfig(MlpSettings):
 
 @dataclass(frozen=True)
 class RegressionConfig:
-    mode: Literal[DESIGN_MODES] = DESIGN_MODES[0]
     aggregation: Literal[AGGREGATIONS] = AGGREGATIONS[0]
 
     def validate(self) -> None:
-        for name, allowed in (("mode", DESIGN_MODES), ("aggregation", AGGREGATIONS)):
-            value = getattr(self, name)
-            if value not in allowed:
-                raise ConfigError(f"{name} must be "
-                                  f"{' or '.join(map(repr, allowed))}, got {value!r}")
+        if self.aggregation not in AGGREGATIONS:
+            raise ConfigError(f"aggregation must be {' or '.join(map(repr, AGGREGATIONS))}, "
+                              f"got {self.aggregation!r}")
 
 
 @dataclass(frozen=True)

@@ -369,6 +369,8 @@ def load_corpus(path: str | Path,
                     f"{manifest}:{line_no}: expected 4 cells, got {len(row)}"
                 )
             entries.append((line_no, *[cell.strip() for cell in row]))
+    if not entries:
+        raise CorpusLoadError(f"{manifest}: manifest lists no bouts")
 
     label_set = tuple(meta.get("label_set", ()))
     if not label_set:
@@ -395,8 +397,6 @@ def load_corpus(path: str | Path,
                 f"corpus has {axis_count}"
             )
         bouts.append(bout)
-    if axis_count is None:
-        raise CorpusLoadError(f"{manifest}: manifest lists no bouts")
     try:
         return Corpus(
             bouts=tuple(bouts),

@@ -179,7 +179,8 @@ def fit_pipeline(train_feats: Sequence[WindowFeatures], labels: tuple[str, ...],
                  config: PipelineConfig, mixture_seed: int,
                  classifier_seed: int) -> FittedPipeline:
     """Fit the mixture, summarize the training bouts, train the summary
-    classifier and fit the per-class regression suite.
+    classifier and fit the per-class regression suite on summary-augmented
+    designs.
 
     The CLI fits the whole corpus with the config seeds; the ``summertime``
     method fits each LOSO fold's training set with that fold's seeds.
@@ -192,10 +193,7 @@ def fit_pipeline(train_feats: Sequence[WindowFeatures], labels: tuple[str, ...],
         settings=config.mlp,
         seed=classifier_seed,
     )
-    augmented = config.regression.mode == "augmented"
-    suite = regress.fit_regression_suite(
-        train_feats, summaries if augmented else None, labels
-    )
+    suite = regress.fit_regression_suite(train_feats, summaries, labels)
     return FittedPipeline(mixture, summaries, classifier, suite)
 
 

@@ -13,10 +13,12 @@ bound has stayed nondecreasing across every prune measured.  The fitted
 model keeps the components of the last posterior that are not empty.
 
 Fitting runs in z-scored feature space under a fixed prior: zero mean and
-identity Wishart scale.  Each iteration computes the component counts, means
-and weighted scatters once, and the objective reuses them.  The reported model
-carries posterior expected parameters mapped back to the original feature
-space, plus the standardizer so new points can be scored.
+identity Wishart scale.  Each iteration's posterior is the conjugate update
+for the current responsibilities, so the objective needs no expectations: it
+is the bound's closed form at that posterior, normalizer ratios plus the
+entropy of the responsibilities.  The reported model carries posterior
+expected parameters mapped back to the original feature space, plus the
+standardizer so new points can be scored.
 
 The E-step forms each component's expected quadratic term as
 ``sum((diff @ W_k) * diff, axis=1)``: one (N, D) x (D, D) matrix product and
@@ -270,12 +272,10 @@ def _initial_responsibilities(z: np.ndarray, k: int,
 @dataclass(frozen=True)
 class _Posterior:
     """Variational posterior over K components in z-scored space, with the
-    statistics of the responsibilities it was computed from: ``nk`` (N_k),
-    ``xbar`` (the weighted means) and ``scatter`` (N_k S_k, unnormalized)."""
+    expected counts ``nk`` (N_k) of the responsibilities it was computed
+    from, and the expectations the E-step reads."""
 
     nk: np.ndarray
-    xbar: np.ndarray
-    scatter: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
     m: np.ndarray
@@ -307,7 +307,7 @@ def _update_posterior(z: np.ndarray, resp: np.ndarray, alpha0: float, beta0: flo
     log_det_w = np.array([-2.0 * np.log(np.diag(chol)).sum() for chol, _ in chols])
     rows = np.arange(dim)[None, :]
     return _Posterior(
-        nk=nk, xbar=xbar, scatter=scatter, alpha=alpha, beta=beta,
+        nk=nk, alpha=alpha, beta=beta,
         m=(nk[:, None] * xbar) / beta[:, None], nu=nu, w_inv=w_inv, w=w,
         log_det_w=log_det_w,
         e_log_pi=digamma(alpha) - digamma(alpha.sum()),
@@ -345,56 +345,24 @@ def _log_wishart_b(log_det_w: float, nu: float, dim: int) -> float:
 
 def _elbo(resp: np.ndarray, post: _Posterior, alpha0: float, beta0: float,
           nu0: float) -> float:
-    """Bishop (10.70)-(10.77) under the fixed prior m0 = 0, W0 = I."""
+    """Bishop's bound (10.70)-(10.77) under the fixed prior m0 = 0, W0 = I.
+
+    ``post`` must be ``_update_posterior`` of this same ``resp``.  At that
+    posterior the expected log terms of each prior and its conjugate update
+    cancel, and the bound is the log normalizer ratios of the Dirichlet and
+    the Gaussian-Wisharts, the data's Gaussian constant and the entropy of
+    ``resp`` (PRML section 10.2).  Every constant is kept: K shrinks during
+    a fit, and the bound is compared across those prunes.
+    """
     k, dim = post.m.shape
-
-    # E[ln p(X | Z, mu, Lambda)]
-    t_data = 0.0
-    for j in range(k):
-        s = post.scatter[j] / max(post.nk[j], 1e-300)
-        dm = post.xbar[j] - post.m[j]
-        t_data += 0.5 * post.nk[j] * (
-            post.e_log_det[j]
-            - dim / post.beta[j]
-            - post.nu[j] * np.trace(s @ post.w[j])
-            - post.nu[j] * float(dm @ post.w[j] @ dm)
-            - dim * LOG_2PI
-        )
-
-    t_z = float((post.nk * post.e_log_pi).sum())
-    t_pi = _log_dirichlet_const(np.full(k, alpha0)) + (alpha0 - 1.0) * post.e_log_pi.sum()
-
-    log_b0 = _log_wishart_b(0.0, nu0, dim)
-    t_mu_lambda = k * log_b0 + 0.5 * (nu0 - dim - 1.0) * post.e_log_det.sum()
-    for j in range(k):
-        t_mu_lambda += 0.5 * (
-            dim * math.log(beta0 / (2.0 * math.pi))
-            + post.e_log_det[j]
-            - dim * beta0 / post.beta[j]
-            - beta0 * post.nu[j] * float(post.m[j] @ post.w[j] @ post.m[j])
-        )
-        t_mu_lambda -= 0.5 * post.nu[j] * np.trace(post.w[j])
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_r = np.where(resp > 0, np.log(np.maximum(resp, 1e-300)), 0.0)
-    t_entropy_z = float((resp * log_r).sum())
-
-    t_q_pi = _log_dirichlet_const(post.alpha) + float(
-        ((post.alpha - 1.0) * post.e_log_pi).sum()
-    )
-
-    t_q_mu_lambda = 0.0
-    for j in range(k):
-        log_b = _log_wishart_b(post.log_det_w[j], post.nu[j], dim)
-        h_wishart = (-log_b - 0.5 * (post.nu[j] - dim - 1.0) * post.e_log_det[j]
-                     + 0.5 * post.nu[j] * dim)
-        t_q_mu_lambda += (0.5 * post.e_log_det[j]
-                          + 0.5 * dim * math.log(post.beta[j] / (2.0 * math.pi))
-                          - 0.5 * dim
-                          - h_wishart)
-
-    return float(t_data + t_z + t_pi + t_mu_lambda
-                 - t_entropy_z - t_q_pi - t_q_mu_lambda)
+    gauss_wishart = (0.5 * dim * np.log(beta0 / post.beta).sum()
+                     + k * _log_wishart_b(0.0, nu0, dim)
+                     - sum(_log_wishart_b(log_det_w, nu, dim)
+                           for log_det_w, nu in zip(post.log_det_w, post.nu)))
+    dirichlet = _log_dirichlet_const(np.full(k, alpha0)) - _log_dirichlet_const(post.alpha)
+    log_r = np.where(resp > 0, np.log(np.maximum(resp, 1e-300)), 0.0)
+    return float(-0.5 * dim * LOG_2PI * post.nk.sum() + gauss_wishart + dirichlet
+                 - (resp * log_r).sum())
 
 
 def _floor_covariance(cov: np.ndarray) -> np.ndarray:

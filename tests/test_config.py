@@ -44,6 +44,8 @@ def test_unknown_keys_are_named():
         config_from_dict({"evaluation": {"parallel_folds": 1}})
     with pytest.raises(ConfigError, match="unknown config key gmm.weight_floor"):
         config_from_dict({"gmm": {"weight_floor": 0.1}})
+    with pytest.raises(ConfigError, match="unknown config key regression.mode"):
+        config_from_dict({"regression": {"mode": "augmented"}})
 
 
 # Every section of PipelineConfig with one key, a valid non-default value and
@@ -51,7 +53,7 @@ def test_unknown_keys_are_named():
 SECTION_CASES = {
     "gmm": ("k_max", 5, 0),
     "mlp": ("epochs", 7, 0),
-    "regression": ("mode", "window_only", "bogus"),
+    "regression": ("aggregation", "sum", "bogus"),
     "evaluation": ("methods", ["ann_voting", "summertime"], []),
     "synthetic": ("subjects", 4, 0),
     "io": ("out", "elsewhere", ""),
@@ -234,7 +236,7 @@ def test_semantic_dict_drops_execution_keys():
 def test_default_config_is_pinned():
     config = PipelineConfig()
     assert config.fingerprint() == (
-        "679995f7f7c2171739d2ab363e9f48523cd7b4d72a6d50147a5492a164ece552"
+        "db875ac858c927045e3c954fb1397b8feb0cffa910529f6bdd6e32598624c6af"
     )
     assert {name: sorted(section) for name, section in config.to_dict().items()
             if isinstance(section, dict)} == {
@@ -242,7 +244,7 @@ def test_default_config_is_pinned():
                 "tol"],
         "mlp": ["batch_size", "epochs", "hidden_units", "l2_penalty",
                 "learning_rate", "seed"],
-        "regression": ["aggregation", "mode"],
+        "regression": ["aggregation"],
         "evaluation": ["methods"],
         "synthetic": ["bouts_per_class", "seed", "subjects"],
         "io": ["corpus", "out"],

@@ -147,6 +147,20 @@ def test_load_reports_file_and_line_for_bad_manifest(tmp_path):
         load_corpus(tmp_path / "c", window_length=12)
 
 
+@pytest.mark.parametrize("sidecar", [True, False], ids=["with_provenance", "without"])
+def test_load_rejects_a_manifest_that_lists_no_bouts(tmp_path, sidecar):
+    """A header-only manifest fails naming it, also when provenance.json
+    supplies the axis count."""
+    save_corpus(small_corpus(), tmp_path / "c")
+    manifest = tmp_path / "c" / "manifest.csv"
+    manifest.write_text(manifest.read_text().splitlines()[0] + "\n")
+    if not sidecar:
+        (tmp_path / "c" / "provenance.json").unlink()
+    with pytest.raises(CorpusLoadError) as info:
+        load_corpus(tmp_path / "c", window_length=12)
+    assert str(info.value) == f"{manifest}: manifest lists no bouts"
+
+
 def test_load_rejects_unknown_label(tmp_path):
     corpus = small_corpus()
     save_corpus(corpus, tmp_path / "c")
