@@ -124,36 +124,6 @@ class Corpus:
         """Distinct subject ids in sorted order."""
         return tuple(sorted({b.subject_id for b in self.bouts}))
 
-    def bouts_for_subject(self, subject_id: str) -> tuple[Bout, ...]:
-        return tuple(b for b in self.bouts if b.subject_id == subject_id)
-
-
-def corpora_equal(a: Corpus, b: Corpus) -> bool:
-    """Structural equality: same metadata and bit-identical bout contents."""
-    if (a.axis_count, a.label_set, a.provenance, a.seed) != (
-        b.axis_count,
-        b.label_set,
-        b.provenance,
-        b.seed,
-    ):
-        return False
-    if len(a.bouts) != len(b.bouts):
-        return False
-    for x, y in zip(a.bouts, b.bouts):
-        if (x.bout_id, x.subject_id, x.activity_class) != (
-            y.bout_id,
-            y.subject_id,
-            y.activity_class,
-        ):
-            return False
-        if not np.array_equal(x.signal, y.signal):
-            return False
-        if (x.targets is None) != (y.targets is None):
-            return False
-        if x.targets is not None and not np.array_equal(x.targets, y.targets):
-            return False
-    return True
-
 
 # --------------------------------------------------------------------------
 # On-disk format

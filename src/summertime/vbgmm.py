@@ -20,10 +20,12 @@ entropy of the responsibilities.  The reported model carries posterior
 expected parameters mapped back to the original feature space, plus the
 standardizer so new points can be scored.
 
-The E-step forms each component's expected quadratic term as
-``sum((diff @ W_k) * diff, axis=1)``: one (N, D) x (D, D) matrix product and
-an elementwise row sum per component, so BLAS does the work.  A batched
-(K, N, D) product was measured slower and holds K copies of the data.
+Both CAVI updates read one array built once per fit: the products z_i z_j
+(i <= j) of every point, N * D(D+1)/2 floats.  The M-step takes every
+component's second moments from it as one matrix product with the
+responsibilities, and the E-step forms every component's expected quadratic
+term from it as one matrix product with the packed precision coefficients,
+so no update loops over components or holds a per-component (N, D) array.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.special import digamma, gammaln, logsumexp
 
 from .errors import (ConsistencyError, FitError, load_payload, reading_payload,
@@ -214,12 +216,9 @@ def component_log_scores(model: MixtureModel, data: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(log_weights: np.ndarray) -> np.ndarray:
-    return np.exp(log_weights - logsumexp(log_weights, axis=1, keepdims=True))
-
-
-def responsibilities(model: MixtureModel, data: np.ndarray) -> np.ndarray:
-    """(N, K) posterior component probabilities; rows sum to 1."""
-    return _softmax_rows(component_log_scores(model, data))
+    """Normalize each row of log weights to probabilities; rows sum to 1."""
+    weights = np.exp(log_weights - log_weights.max(axis=1, keepdims=True))
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 def assign(model: MixtureModel, data: np.ndarray) -> np.ndarray:
@@ -242,31 +241,43 @@ def log_density(model: MixtureModel, data: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _kmeans_pp_centers(z: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Seeded k-means++ center selection (selection only, no Lloyd iterations)."""
+def _initial_responsibilities(z: np.ndarray, k: int,
+                              rng: np.random.Generator) -> np.ndarray:
+    """One-hot start: each point joins its nearest of k seeded k-means++
+    centres (selection only, no Lloyd iterations).
+
+    A point changes centre only on a strictly smaller distance, so ties go
+    to the lowest centre index.
+    """
     n = z.shape[0]
-    centers = [z[rng.integers(n)]]
-    d2 = np.sum((z - centers[0]) ** 2, axis=1)
-    for _ in range(1, k):
+    d2 = np.sum((z - z[rng.integers(n)]) ** 2, axis=1)
+    nearest = np.zeros(n, dtype=np.intp)
+    for j in range(1, k):
         total = d2.sum()
         if total <= 0:
             # All remaining mass sits on already-chosen points; fall back to
-            # a uniform draw so we still return k centers.
+            # a uniform draw so we still draw k centres.
             idx = rng.integers(n)
         else:
             idx = rng.choice(n, p=d2 / total)
-        centers.append(z[idx])
-        d2 = np.minimum(d2, np.sum((z - centers[-1]) ** 2, axis=1))
-    return np.array(centers)
-
-
-def _initial_responsibilities(z: np.ndarray, k: int,
-                              rng: np.random.Generator) -> np.ndarray:
-    centers = _kmeans_pp_centers(z, k, rng)
-    d2 = ((z[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    resp = np.zeros((z.shape[0], k))
-    resp[np.arange(z.shape[0]), np.argmin(d2, axis=1)] = 1.0
+        dist = np.sum((z - z[idx]) ** 2, axis=1)
+        nearest[dist < d2] = j
+        d2 = np.minimum(d2, dist)
+    resp = np.zeros((n, k))
+    resp[np.arange(n), nearest] = 1.0
     return resp
+
+
+def _pair_products(z: np.ndarray) -> np.ndarray:
+    """(N, D(D+1)/2) products z_i z_j for i <= j, in ``np.triu_indices`` order."""
+    n, dim = z.shape
+    pairs = np.empty((n, dim * (dim + 1) // 2))
+    start = 0
+    for i in range(dim):
+        stop = start + dim - i
+        np.multiply(z[:, i, None], z[:, i:], out=pairs[:, start:stop])
+        start = stop
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -287,60 +298,71 @@ class _Posterior:
     e_log_det: np.ndarray
 
 
-def _update_posterior(z: np.ndarray, resp: np.ndarray, alpha0: float, beta0: float,
-                      nu0: float) -> _Posterior:
-    """Bishop (10.58)-(10.63) under the fixed prior m0 = 0, W0 = I."""
+def _update_posterior(z: np.ndarray, pairs: np.ndarray, resp: np.ndarray,
+                      alpha0: float, beta0: float, nu0: float) -> _Posterior:
+    """Bishop (10.58)-(10.63) under the fixed prior m0 = 0, W0 = I.
+
+    ``z`` is z-scored and ``pairs`` is ``_pair_products(z)``.  The scatter
+    is formed from raw second moments, which stays accurate because z-scored
+    data has mean zero and unit scale; on data far from the origin the
+    subtraction of N_k xbar xbar^T would cancel digits.
+    """
     dim = z.shape[1]
     nk = resp.sum(axis=0)
     alpha, beta, nu = alpha0 + nk, beta0 + nk, nu0 + nk
     xbar = (resp.T @ z) / np.maximum(nk, 1e-300)[:, None]
-    scatter = np.empty((len(nk), dim, dim))
-    for j, (r, x) in enumerate(zip(resp.T, xbar)):
-        centred = z - x
-        scatter[j] = (r[:, None] * centred).T @ centred
-    eye = np.eye(dim)
-    w_inv = (eye + scatter
-             + (beta0 * nk / beta)[:, None, None] * (xbar[:, :, None] * xbar[:, None, :]))
-    chols = [cho_factor(matrix, lower=True) for matrix in w_inv]
-    inverses = np.array([cho_solve(chol, eye) for chol in chols])
-    w = 0.5 * (inverses + inverses.transpose(0, 2, 1))
-    log_det_w = np.array([-2.0 * np.log(np.diag(chol)).sum() for chol, _ in chols])
-    rows = np.arange(dim)[None, :]
+    outer = xbar[:, :, None] * xbar[:, None, :]
+    rows, cols = np.triu_indices(dim)
+    moments = resp.T @ pairs
+    second = np.empty((len(nk), dim, dim))
+    second[:, rows, cols] = moments
+    second[:, cols, rows] = moments
+    scatter = second - nk[:, None, None] * outer
+    w_inv = np.eye(dim) + scatter + (beta0 * nk / beta)[:, None, None] * outer
+    chols = np.linalg.cholesky(w_inv)
+    inv_chols = np.linalg.inv(chols)
+    w = inv_chols.transpose(0, 2, 1) @ inv_chols
+    w = 0.5 * (w + w.transpose(0, 2, 1))
+    log_det_w = -2.0 * np.log(np.diagonal(chols, axis1=1, axis2=2)).sum(axis=1)
     return _Posterior(
         nk=nk, alpha=alpha, beta=beta,
         m=(nk[:, None] * xbar) / beta[:, None], nu=nu, w_inv=w_inv, w=w,
         log_det_w=log_det_w,
         e_log_pi=digamma(alpha) - digamma(alpha.sum()),
-        e_log_det=(digamma((nu[:, None] - rows) / 2.0).sum(axis=1)
+        e_log_det=(digamma((nu[:, None] - np.arange(dim)) / 2.0).sum(axis=1)
                    + dim * math.log(2.0) + log_det_w),
     )
 
 
-def _expected_log_likelihood_terms(z: np.ndarray, post: _Posterior) -> np.ndarray:
-    """(N, K) matrix of E_q[ln pi_k] + 0.5 E_q[ln|Lambda_k|] - 0.5 E_q[quad]."""
-    n, dim = z.shape
-    k = len(post.alpha)
-    out = np.empty((n, k))
-    for j in range(k):
-        diff = z - post.m[j]
-        quad = post.nu[j] * np.sum((diff @ post.w[j]) * diff, axis=1)
-        out[:, j] = (post.e_log_pi[j] + 0.5 * post.e_log_det[j]
-                     - 0.5 * (dim * LOG_2PI + dim / post.beta[j] + quad))
-    return out
+def _expected_log_likelihood_terms(z: np.ndarray, pairs: np.ndarray,
+                                   post: _Posterior) -> np.ndarray:
+    """(N, K) matrix of E_q[ln pi_k] + 0.5 E_q[ln|Lambda_k|] - 0.5 E_q[quad].
+
+    The quadratic nu_k (z - m_k)^T W_k (z - m_k) of every component expands
+    to ``pairs @ C^T - 2 z (nu_k W_k m_k)^T + nu_k m_k^T W_k m_k``, where a
+    row of C holds nu_k W_k's upper triangle with off-diagonal terms doubled.
+    """
+    dim = z.shape[1]
+    rows, cols = np.triu_indices(dim)
+    coef = post.nu[:, None] * np.where(rows == cols, 1.0, 2.0) * post.w[:, rows, cols]
+    wm = post.nu[:, None] * (post.w @ post.m[:, :, None])[:, :, 0]
+    quad = pairs @ coef.T - 2.0 * (z @ wm.T) + np.sum(wm * post.m, axis=1)
+    return (post.e_log_pi + 0.5 * post.e_log_det
+            - 0.5 * (dim * LOG_2PI + dim / post.beta + quad))
 
 
 def _log_dirichlet_const(alpha: np.ndarray) -> float:
     return float(gammaln(alpha.sum()) - gammaln(alpha).sum())
 
 
-def _log_wishart_b(log_det_w: float, nu: float, dim: int) -> float:
+def _log_wishart_b(log_det_w: np.ndarray, nu: np.ndarray, dim: int) -> np.ndarray:
+    """ln B(W, nu) of PRML (B.79) for each entry of ``log_det_w`` and ``nu``."""
+    nu = np.asarray(nu, dtype=float)
     i = np.arange(1, dim + 1)
-    return float(
-        -0.5 * nu * log_det_w
-        - 0.5 * nu * dim * math.log(2.0)
-        - 0.25 * dim * (dim - 1) * math.log(math.pi)
-        - gammaln((nu + 1 - i) / 2.0).sum()
-    )
+    return (-0.5 * nu * log_det_w
+            - 0.5 * nu * dim * math.log(2.0)
+            - 0.25 * dim * (dim - 1) * math.log(math.pi)
+            - gammaln((nu[..., None] + 1 - i) / 2.0).sum(axis=-1))
 
 
 def _elbo(resp: np.ndarray, post: _Posterior, alpha0: float, beta0: float,
@@ -357,8 +379,7 @@ def _elbo(resp: np.ndarray, post: _Posterior, alpha0: float, beta0: float,
     k, dim = post.m.shape
     gauss_wishart = (0.5 * dim * np.log(beta0 / post.beta).sum()
                      + k * _log_wishart_b(0.0, nu0, dim)
-                     - sum(_log_wishart_b(log_det_w, nu, dim)
-                           for log_det_w, nu in zip(post.log_det_w, post.nu)))
+                     - _log_wishart_b(post.log_det_w, post.nu, dim).sum())
     dirichlet = _log_dirichlet_const(np.full(k, alpha0)) - _log_dirichlet_const(post.alpha)
     log_r = np.where(resp > 0, np.log(np.maximum(resp, 1e-300)), 0.0)
     return float(-0.5 * dim * LOG_2PI * post.nk.sum() + gauss_wishart + dirichlet
@@ -402,10 +423,11 @@ def fit_mixture(data: np.ndarray, settings: FitSettings | None = None,
 
     rng = np.random.default_rng(seed)
     resp = _initial_responsibilities(z, k, rng)
+    pairs = _pair_products(z)
 
     elbo_trace: list[float] = []
     for _ in range(settings.max_iter):
-        post = _update_posterior(z, resp, alpha0, beta0, nu0)
+        post = _update_posterior(z, pairs, resp, alpha0, beta0, nu0)
         elbo = _elbo(resp, post, alpha0, beta0, nu0)
         if not math.isfinite(elbo):
             raise FitError("objective became non-finite during fitting")
@@ -421,7 +443,7 @@ def fit_mixture(data: np.ndarray, settings: FitSettings | None = None,
         elbo_trace.append(elbo)
         if converged:
             break
-        log_lik = _expected_log_likelihood_terms(z, post)
+        log_lik = _expected_log_likelihood_terms(z, pairs, post)
         resp = _softmax_rows(log_lik)
         # Some column holds at least n / k >= 1 point, so one always stays.
         live = np.flatnonzero(resp.sum(axis=0) >= EMPTY_COUNT)

@@ -18,7 +18,8 @@ from summertime.evaluate import compare_regression_modes, run_loso
 from summertime.features import PERCENTILE_FRACTIONS, percentile_rank, window_matrix
 from summertime.reference import reference_panel
 from summertime.summarize import summarize_bout
-from summertime.vbgmm import FitSettings, assign, fit_mixture, responsibilities
+from summertime.vbgmm import (FitSettings, _softmax_rows, assign, component_log_scores,
+                              fit_mixture)
 
 
 def verdict(number, ok, detail):
@@ -84,7 +85,7 @@ def test_criterion_2_responsibilities_normalize():
     data = np.vstack([rng.normal(c, 1.0, size=(300, 2)) for c in centers])
     model = fit_mixture(data, FitSettings(k_max=10), seed=0)
     points = rng.uniform(-10, 30, size=(1000, 2))
-    gamma = responsibilities(model, points)
+    gamma = _softmax_rows(component_log_scores(model, points))
     sums_ok = bool(np.all(np.abs(gamma.sum(axis=1) - 1.0) <= 1e-9))
     argmax_ok = bool(np.all(assign(model, points) == gamma.argmax(axis=1)))
     verdict(2, sums_ok and argmax_ok,

@@ -1,5 +1,7 @@
 """Corpus model, disk round trip, loader diagnostics, LOSO folds, generator."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from summertime.dataset import (
     Corpus,
     CorpusLoadError,
     SyntheticConfig,
-    corpora_equal,
     generate_synthetic,
     load_corpus,
     loso_folds,
@@ -17,6 +18,33 @@ from summertime.dataset import (
 )
 from summertime.errors import ConfigError
 from summertime.evaluate import corpus_fingerprint
+
+
+def corpora_equal(a: Corpus, b: Corpus) -> bool:
+    """Structural equality: same metadata and bit-identical bout contents."""
+    if (a.axis_count, a.label_set, a.provenance, a.seed) != (
+        b.axis_count,
+        b.label_set,
+        b.provenance,
+        b.seed,
+    ):
+        return False
+    if len(a.bouts) != len(b.bouts):
+        return False
+    for x, y in zip(a.bouts, b.bouts):
+        if (x.bout_id, x.subject_id, x.activity_class) != (
+            y.bout_id,
+            y.subject_id,
+            y.activity_class,
+        ):
+            return False
+        if not np.array_equal(x.signal, y.signal):
+            return False
+        if (x.targets is None) != (y.targets is None):
+            return False
+        if x.targets is not None and not np.array_equal(x.targets, y.targets):
+            return False
+    return True
 
 
 def small_corpus():
@@ -247,7 +275,7 @@ def test_generator_covers_every_subject_and_class():
     assert len(corpus.subject_ids) == 4
     labels = {b.activity_class for b in corpus.bouts}
     assert labels == set(corpus.label_set)
-    per_subject = {s: len(corpus.bouts_for_subject(s)) for s in corpus.subject_ids}
+    per_subject = Counter(b.subject_id for b in corpus.bouts)
     assert all(n == 2 * len(corpus.label_set) for n in per_subject.values())
 
 

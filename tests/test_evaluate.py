@@ -127,7 +127,7 @@ def test_train_fingerprints_differ_per_fold_and_repeat(corpus, config):
 
 def test_single_subject_corpus_is_rejected(corpus, config):
     solo = Corpus(
-        bouts=corpus.bouts_for_subject(corpus.subject_ids[0]),
+        bouts=tuple(b for b in corpus.bouts if b.subject_id == corpus.subject_ids[0]),
         axis_count=corpus.axis_count,
         label_set=corpus.label_set,
         provenance="solo",

@@ -18,14 +18,16 @@ from summertime.vbgmm import (
     _elbo,
     _expected_log_likelihood_terms,
     _initial_responsibilities,
+    _pair_products,
+    _softmax_rows,
     _update_posterior,
     assign,
+    component_log_scores,
     fit_mixture,
     load_model,
     log_density,
     model_from_dict,
     model_to_dict,
-    responsibilities,
     save_model,
 )
 
@@ -48,9 +50,9 @@ def recorded_updates(monkeypatch):
     calls = []
     update = vbgmm._update_posterior
 
-    def recording(z, resp, *args):
+    def recording(z, pairs, resp, *args):
         calls.append((z, resp))
-        return update(z, resp, *args)
+        return update(z, pairs, resp, *args)
 
     monkeypatch.setattr(vbgmm, "_update_posterior", recording)
     return calls
@@ -83,7 +85,7 @@ def test_responsibilities_normalize_and_assign_is_argmax():
     data = three_blob_data(rng)
     model = fit_mixture(data, FitSettings(k_max=6), seed=1)
     points = rng.normal(10.0, 8.0, size=(1000, 2))
-    gamma = responsibilities(model, points)
+    gamma = _softmax_rows(component_log_scores(model, points))
     np.testing.assert_allclose(gamma.sum(axis=1), 1.0, atol=1e-9)
     np.testing.assert_array_equal(assign(model, points), gamma.argmax(axis=1))
 
@@ -230,29 +232,80 @@ def bishop_log_rho(z, posterior):
 
 
 def assert_matches_the_per_point_textbook_bound(z, resp, alpha0, beta0, nu0):
-    post = _update_posterior(z, resp, alpha0, beta0, nu0)
+    pairs = _pair_products(z)
+    post = _update_posterior(z, pairs, resp, alpha0, beta0, nu0)
     want, want_elbo = bishop_posterior_and_elbo(z, resp, alpha0, beta0, nu0)
     for name, value in want.items():
         np.testing.assert_allclose(getattr(post, name), value, rtol=1e-10, atol=0,
                                    err_msg=name)
     assert _elbo(resp, post, alpha0, beta0, nu0) == pytest.approx(want_elbo, rel=1e-10)
-    np.testing.assert_allclose(_expected_log_likelihood_terms(z, post),
+    np.testing.assert_allclose(_expected_log_likelihood_terms(z, pairs, post),
                                bishop_log_rho(z, want), rtol=1e-10, atol=0)
 
 
-@pytest.mark.parametrize("start", ["dirichlet", "one_hot"])
-def test_update_and_objective_match_the_per_point_textbook_bound(start):
+@pytest.mark.parametrize("data, start", [
+    pytest.param("offset", "dirichlet", id="dirichlet"),
+    pytest.param("offset", "one_hot", id="one_hot"),
+    pytest.param("windows", "dirichlet", id="windows-dirichlet"),
+    pytest.param("windows", "one_hot", id="windows-one_hot"),
+])
+def test_update_and_objective_match_the_per_point_textbook_bound(default_windows, data, start):
     # The one-hot k-means++ start is where every fit takes its first bound;
-    # its exact zeros take the 0 ln 0 = 0 convention in the entropy.
-    rng = np.random.default_rng(61)
-    n, d, k = 60, 3, 4
-    z = rng.normal(size=(n, d)) @ rng.normal(size=(d, d)) + rng.normal(size=d)
+    # its exact zeros take the 0 ln 0 = 0 convention in the entropy.  The
+    # pair layout depends on D, so one input has the width every fit of the
+    # pipeline sees: 80 default-corpus windows, z-scored as fit_mixture does.
+    if data == "offset":
+        rng = np.random.default_rng(61)
+        n, d, k = 60, 3, 4
+        z = rng.normal(size=(n, d)) @ rng.normal(size=(d, d)) + rng.normal(size=d)
+    else:
+        rng = np.random.default_rng(62)
+        windows = default_windows[::21][:80]
+        z = Standardizer.fit(windows).transform(windows)
+        n, d, k = 80, 18, 5
+        assert z.shape == (n, d)
     if start == "dirichlet":
         resp = rng.dirichlet(np.ones(k), size=n)
     else:
         resp = _initial_responsibilities(z, k, rng)
         assert np.all(resp.sum(axis=0) > 0) and np.any(resp == 0)
     assert_matches_the_per_point_textbook_bound(z, resp, 1e-3, 1.0, d + 1.0)
+
+
+def two_pass_start(z, k, rng):
+    """The k-means++ start in two passes: draw k centres, then give each point
+    the first centre of least distance, by argmin over the (N, k, D)
+    differences.  Also returns those distances."""
+    n = z.shape[0]
+    centers = [z[rng.integers(n)]]
+    d2 = np.sum((z - centers[0]) ** 2, axis=1)
+    for _ in range(1, k):
+        total = d2.sum()
+        idx = rng.integers(n) if total <= 0 else rng.choice(n, p=d2 / total)
+        centers.append(z[idx])
+        d2 = np.minimum(d2, np.sum((z - centers[-1]) ** 2, axis=1))
+    d2 = ((z[:, None, :] - np.array(centers)[None, :, :]) ** 2).sum(axis=2)
+    resp = np.zeros((n, k))
+    resp[np.arange(n), np.argmin(d2, axis=1)] = 1.0
+    return resp, d2
+
+
+def test_start_equals_the_two_pass_start(default_windows):
+    grid = np.array([[x, y] for x in range(5) for y in range(5)], dtype=float)
+    inputs = {
+        "windows": (Standardizer.fit(default_windows).transform(default_windows), 20),
+        "duplicates": (np.repeat([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]], 5, axis=0), 10),
+        "grid": (grid, 6),
+    }
+    for name, (z, k) in inputs.items():
+        ties = 0
+        for seed in range(10):
+            want, d2 = two_pass_start(z, k, np.random.default_rng(seed))
+            got = _initial_responsibilities(z, k, np.random.default_rng(seed))
+            np.testing.assert_array_equal(got, want, err_msg=f"{name}, seed {seed}")
+            ties += np.sum(np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1) > 1)
+        if name != "windows":
+            assert ties > 0, name
 
 
 def test_default_corpus_fit_is_pinned(default_windows):
