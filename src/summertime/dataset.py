@@ -425,6 +425,12 @@ class ClassRegime:
     a block drawn from the corpus's rest regime (the first regime listed),
     with that regime's MET rule.  This makes bouts heterogeneous mixtures of
     local patterns rather than stationary blocks.
+
+    ``interleave``, a (regime label, probability) pair, makes classes
+    overlap: each window draws the pause first, then one more uniform, and
+    is drawn from the named regime, with its MET rule, when that second
+    draw is below the probability and the pause did not fire.  A regime
+    without it draws nothing extra.
     """
 
     label: str
@@ -436,6 +442,7 @@ class ClassRegime:
     met_intercept: float = 1.0
     met_slope: float = 0.0
     duration_range: tuple[int, int] = (60, 180)
+    interleave: tuple[str, float] | None = None
 
 
 DEFAULT_REGIMES = (
@@ -506,6 +513,16 @@ class SyntheticConfig:
                 raise ConfigError(
                     f"regime {regime.label!r}: pause_fraction must be in [0, 1)"
                 )
+            if regime.interleave is not None:
+                other, probability = regime.interleave
+                if other not in {r.label for r in self.regimes}:
+                    raise ConfigError(
+                        f"regime {regime.label!r}: interleave names no regime {other!r}"
+                    )
+                if not 0 <= probability < 1:
+                    raise ConfigError(
+                        f"regime {regime.label!r}: interleave probability must be in [0, 1)"
+                    )
             lo, hi = regime.duration_range
             if not (0 < lo <= hi):
                 raise ConfigError(
@@ -540,6 +557,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
     config.validate()
     rng = np.random.default_rng(seed)
     rest = config.regimes[0]
+    by_label = {r.label: r for r in config.regimes}
     axis_scales = np.asarray(AXIS_SCALES)
     length = config.window_length
 
@@ -557,6 +575,10 @@ def generate_synthetic(config: SyntheticConfig, seed: int) -> Corpus:
                 for w in range(n_windows):
                     paused = rng.random() < regime.pause_fraction
                     block_regime = rest if paused else regime
+                    if regime.interleave is not None:
+                        other, probability = regime.interleave
+                        if rng.random() < probability and not paused:
+                            block_regime = by_label[other]
                     block = _regime_block(block_regime, length, w * length,
                                           subject_scale, phases, axis_scales, rng)
                     block = np.clip(np.round(block), 0.0, None)

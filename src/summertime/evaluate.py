@@ -8,7 +8,8 @@ held-out bouts.  Classification is scored per bout; a window-weighted view
 
 Five method pipelines share this harness.  The harness featurizes each
 fold's train and test split and hands the window features to the method's
-runner:
+runner, which returns a ``FoldResult``: one (class, MET) prediction per test
+bout and the facts its fits recorded.
 
 * ``summertime``     -- cluster-ratio summaries -> summary classifier ->
                         per-class regression on summary-augmented designs.
@@ -23,7 +24,8 @@ runner:
                         MET directly from window features.
 
 The four voting baselines share one runner and differ only in their MET
-estimator.
+estimator; they record no facts.  Each report's ``regression_modes`` is read
+from the facts of the ``summertime`` folds (see ``_run_summertime``).
 
 Reports are deterministic functions of (corpus, config): per-fold seeds are
 derived from the config seeds, and folds run serially in fold order.
@@ -145,6 +147,7 @@ class EvaluationReport:
     config_fingerprint: str
     folds: tuple[FoldSummary, ...]
     outcomes: tuple[BoutOutcome, ...]
+    regression_modes: dict[str, float | None] | None  # see _regression_modes
 
     @property
     def overall_recall(self) -> float:
@@ -168,13 +171,6 @@ class FittedPipeline:
     suite: regress.RegressionSuite
 
 
-def _fit_summaries(train_feats: Sequence[WindowFeatures], config: PipelineConfig,
-                   mixture_seed: int) -> tuple[MixtureModel, list[SummaryVector]]:
-    mixture = fit_mixture(stack_features(train_feats), settings=config.gmm,
-                          seed=mixture_seed)
-    return mixture, summarize_corpus(mixture, train_feats)
-
-
 def fit_pipeline(train_feats: Sequence[WindowFeatures], labels: tuple[str, ...],
                  config: PipelineConfig, mixture_seed: int,
                  classifier_seed: int) -> FittedPipeline:
@@ -185,7 +181,9 @@ def fit_pipeline(train_feats: Sequence[WindowFeatures], labels: tuple[str, ...],
     The CLI fits the whole corpus with the config seeds; the ``summertime``
     method fits each LOSO fold's training set with that fold's seeds.
     """
-    mixture, summaries = _fit_summaries(train_feats, config, mixture_seed)
+    mixture = fit_mixture(stack_features(train_feats), settings=config.gmm,
+                          seed=mixture_seed)
+    summaries = summarize_corpus(mixture, train_feats)
     classifier = classify.train_mlp(
         summary_matrix(summaries),
         [s.activity_class for s in summaries],
@@ -201,14 +199,22 @@ def fit_pipeline(train_feats: Sequence[WindowFeatures], labels: tuple[str, ...],
 # Per-method fold runners
 # --------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class FoldResult:
+    """One fold's (predicted_class, predicted_met or None) per test bout, in
+    test-bout order, and the lists of rows its fits recorded, by name."""
+
+    predictions: list[tuple[str, float | None]]
+    facts: dict[str, list] | None = None
+
+
 FoldRunner = Callable[
     [list[WindowFeatures], list[WindowFeatures], PipelineConfig, StageSeeds,
      tuple[str, ...]],
-    list[tuple[str, float | None]],
+    FoldResult,
 ]
-# A runner maps one fold's (train, test) window features to
-# [(predicted_class, predicted_met or None)] in test-bout order.  Registered
-# under METHOD_RUNNERS; tests may inject stubs.
+# A runner maps one fold's (train, test) window features to its FoldResult.
+# Registered under METHOD_RUNNERS; tests may inject stubs.
 
 MetEstimator = Callable[
     [Sequence[WindowFeatures], PipelineConfig, StageSeeds, tuple[str, ...]],
@@ -220,17 +226,31 @@ MetEstimator = Callable[
 
 def _run_summertime(train_feats: list[WindowFeatures],
                     test_feats: list[WindowFeatures], config: PipelineConfig,
-                    seeds: StageSeeds, labels: tuple[str, ...]
-                    ) -> list[tuple[str, float | None]]:
+                    seeds: StageSeeds, labels: tuple[str, ...]) -> FoldResult:
+    """Facts: under ``train`` and ``test``, one row per bout with targets: its
+    window targets, then each ``regress.DESIGN_MODES`` suite's estimates,
+    routed to the true class and unclamped.  On the training split that is a
+    least-squares contest the augmented design, a column superset, cannot
+    lose."""
     fitted = fit_pipeline(train_feats, labels, config, seeds.mixture,
                           seeds.classifier)
-    results = []
-    for feat, summary in zip(test_feats, summarize_corpus(fitted.mixture, test_feats)):
+    test_sums = summarize_corpus(fitted.mixture, test_feats)
+    predictions = []
+    for feat, summary in zip(test_feats, test_sums):
         prediction = classify.predict_class(fitted.classifier, summary.ratios)
         met = regress.predict_bout_met(fitted.suite, prediction.label, feat,
                                        summary.ratios, config.regression.aggregation)
-        results.append((prediction.label, met))
-    return results
+        predictions.append((prediction.label, met))
+    suites = (fitted.suite, regress.fit_regression_suite(train_feats, None, labels))
+    facts = {"train": [], "test": []}
+    for split, feats, sums in (("train", train_feats, fitted.summaries),
+                               ("test", test_feats, test_sums)):
+        for feat, summary in zip(feats, sums):
+            if feat.targets is not None:
+                facts[split].append((np.asarray(feat.targets, dtype=float), *(
+                    regress.predict_windows(suite, feat.activity_class, feat.matrix,
+                                            summary.ratios) for suite in suites)))
+    return FoldResult(predictions, facts)
 
 
 def _per_class_ols(train_feats, config, seeds, labels):
@@ -274,11 +294,11 @@ def _voting(fit_met: MetEstimator) -> FoldRunner:
             standardize_inputs=True,
         )
         met_of = fit_met(train_feats, config, seeds, labels)
-        results = []
+        predictions = []
         for feat in test_feats:
             label = classify.classify_bout_voting(classifier, feat.matrix).label
-            results.append((label, met_of(label, feat)))
-        return results
+            predictions.append((label, met_of(label, feat)))
+        return FoldResult(predictions)
     return run
 
 
@@ -309,19 +329,20 @@ def _folds(corpus: Corpus, config: PipelineConfig
 
 def _run_fold(runner: FoldRunner, fold_index: int, train: Corpus, test: Corpus,
               config: PipelineConfig, seeds: StageSeeds,
-              labels: tuple[str, ...]) -> tuple[FoldSummary, list[BoutOutcome]]:
+              labels: tuple[str, ...]
+              ) -> tuple[FoldSummary, list[BoutOutcome], dict | None]:
     test_subject = test.bouts[0].subject_id
     try:
         train_feats = featurize_corpus(train, config.window_length)
         test_feats = featurize_corpus(test, config.window_length)
-        predictions = runner(train_feats, test_feats, config, seeds, labels)
+        result = runner(train_feats, test_feats, config, seeds, labels)
     except SummertimeError as exc:
         raise EvaluationError(
             f"fold {fold_index} (test subject {test_subject}): {exc}"
         ) from exc
-    if len(predictions) != len(test_feats):
+    if len(result.predictions) != len(test_feats):
         raise EvaluationError(
-            f"fold {fold_index}: runner returned {len(predictions)} predictions "
+            f"fold {fold_index}: runner returned {len(result.predictions)} predictions "
             f"for {len(test_feats)} test bouts"
         )
     aggregation = config.regression.aggregation
@@ -337,7 +358,7 @@ def _run_fold(runner: FoldRunner, fold_index: int, train: Corpus, test: Corpus,
                         else regress.aggregate(feat.targets, aggregation)),
             predicted_met=predicted_met,
         )
-        for feat, (predicted_class, predicted_met) in zip(test_feats, predictions)
+        for feat, (predicted_class, predicted_met) in zip(test_feats, result.predictions)
     ]
     summary = FoldSummary(
         fold_index=fold_index,
@@ -345,7 +366,22 @@ def _run_fold(runner: FoldRunner, fold_index: int, train: Corpus, test: Corpus,
         train_fingerprint=_train_fingerprint(train.bouts),
         test_bout_ids=tuple(b.bout_id for b in test.bouts),
     )
-    return summary, outcomes
+    return summary, outcomes, result.facts
+
+
+def _regression_modes(pooled: dict[str, list]) -> dict[str, float | None] | None:
+    """Window-level RMSE of the augmented and window-only designs on each
+    split, from ``_run_summertime``'s facts pooled in fold order.  None when
+    no fold recorded facts, and for a split without target windows."""
+    if not pooled:
+        return None
+    modes = {}
+    for split in ("train", "test"):
+        columns = [np.concatenate(column) for column in zip(*pooled[split])]
+        for i, mode in enumerate(regress.DESIGN_MODES, start=1):
+            modes[f"{split}_rmse_{mode}"] = (rmse(columns[i], columns[0])
+                                             if columns else None)
+    return modes
 
 
 def run_loso(corpus: Corpus, method: str, config: PipelineConfig,
@@ -354,7 +390,8 @@ def run_loso(corpus: Corpus, method: str, config: PipelineConfig,
 
     ``runner`` overrides the registry entry for ``method``; tests use this to
     inject oracle stubs.  It is called once per fold with the fold's train
-    and test ``WindowFeatures`` (see ``FoldRunner``).
+    and test ``WindowFeatures`` (see ``FoldRunner``).  The report's
+    ``regression_modes`` comes from the facts its folds record.
     """
     if runner is None:
         if method not in METHOD_RUNNERS:
@@ -366,20 +403,23 @@ def run_loso(corpus: Corpus, method: str, config: PipelineConfig,
     labels = corpus.label_set
     summaries = []
     outcomes: list[BoutOutcome] = []
+    pooled: dict[str, list] = {}
     for i, (train, test, seeds) in enumerate(_folds(corpus, config)):
-        summary, fold_outcomes = _run_fold(runner, i, train, test, config,
-                                           seeds, labels)
+        summary, fold_outcomes, facts = _run_fold(runner, i, train, test, config,
+                                                  seeds, labels)
         summaries.append(summary)
         outcomes.extend(fold_outcomes)
+        for key, rows in (facts or {}).items():
+            pooled.setdefault(key, []).extend(rows)
     fingerprint = config.fingerprint({"corpus": corpus_fingerprint(corpus)})
     return _build_report(method, labels, tuple(summaries), tuple(outcomes),
-                         fingerprint)
+                         fingerprint, _regression_modes(pooled))
 
 
 def _build_report(method: str, labels: tuple[str, ...],
                   summaries: tuple[FoldSummary, ...],
-                  outcomes: tuple[BoutOutcome, ...],
-                  fingerprint: str) -> EvaluationReport:
+                  outcomes: tuple[BoutOutcome, ...], fingerprint: str,
+                  regression_modes: dict | None) -> EvaluationReport:
     index = {label: i for i, label in enumerate(labels)}
     size = len(labels)
     confusion = np.zeros((size, size), dtype=int)
@@ -429,6 +469,7 @@ def _build_report(method: str, labels: tuple[str, ...],
         config_fingerprint=fingerprint,
         folds=summaries,
         outcomes=outcomes,
+        regression_modes=regression_modes,
     )
 
 
@@ -445,52 +486,6 @@ def compare_methods(corpus: Corpus, methods: Sequence[str],
         "methods": {m: report_to_dict(r) for m, r in reports.items()},
         "reference_panel": reference_panel(),
     }
-
-
-def compare_regression_modes(corpus: Corpus, config: PipelineConfig) -> dict:
-    """Window-level RMSE of augmented vs window-only per-class regression.
-
-    Uses true-class routing and raw (unclamped) per-window predictions so the
-    train-side comparison is exactly the least-squares residual contest: the
-    augmented design contains the window-only design's columns, so its
-    training RMSE cannot be larger.
-    """
-    pooled: dict[str, list[np.ndarray]] = {
-        f"{split}_{kind}": []
-        for split in ("train", "test") for kind in ("actual",) + regress.DESIGN_MODES
-    }
-    labels = corpus.label_set
-    for train, test, seeds in _folds(corpus, config):
-        train_feats = featurize_corpus(train, config.window_length)
-        test_feats = featurize_corpus(test, config.window_length)
-        mixture, train_sums = _fit_summaries(train_feats, config, seeds.mixture)
-        test_sums = summarize_corpus(mixture, test_feats)
-        suites = {
-            mode: regress.fit_regression_suite(
-                train_feats, train_sums if mode == "augmented" else None, labels)
-            for mode in regress.DESIGN_MODES
-        }
-        for split, feats, sums in (
-            ("train", train_feats, train_sums),
-            ("test", test_feats, test_sums),
-        ):
-            for feat, summary in zip(feats, sums):
-                if feat.targets is None:
-                    continue
-                pooled[f"{split}_actual"].append(np.asarray(feat.targets, dtype=float))
-                for mode, suite in suites.items():
-                    pooled[f"{split}_{mode}"].append(
-                        regress.predict_windows(
-                            suite, feat.activity_class, feat.matrix, summary.ratios,
-                        )
-                    )
-    result = {}
-    for split in ("train", "test"):
-        actual = np.concatenate(pooled[f"{split}_actual"])
-        for mode in regress.DESIGN_MODES:
-            predicted = np.concatenate(pooled[f"{split}_{mode}"])
-            result[f"{split}_rmse_{mode}"] = rmse(predicted, actual)
-    return result
 
 
 # --------------------------------------------------------------------------

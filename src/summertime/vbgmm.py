@@ -30,6 +30,7 @@ so no update loops over components or holds a per-component (N, D) array.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -268,8 +269,17 @@ def _initial_responsibilities(z: np.ndarray, k: int,
     return resp
 
 
+@functools.cache
+def _upper_triangle(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(dim)``, computed once per dimension and read-only:
+    the (i, j) of each column of ``_pair_products``."""
+    rows, cols = np.triu_indices(dim)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def _pair_products(z: np.ndarray) -> np.ndarray:
-    """(N, D(D+1)/2) products z_i z_j for i <= j, in ``np.triu_indices`` order."""
+    """(N, D(D+1)/2) products z_i z_j for i <= j, in ``_upper_triangle`` order."""
     n, dim = z.shape
     pairs = np.empty((n, dim * (dim + 1) // 2))
     start = 0
@@ -312,7 +322,7 @@ def _update_posterior(z: np.ndarray, pairs: np.ndarray, resp: np.ndarray,
     alpha, beta, nu = alpha0 + nk, beta0 + nk, nu0 + nk
     xbar = (resp.T @ z) / np.maximum(nk, 1e-300)[:, None]
     outer = xbar[:, :, None] * xbar[:, None, :]
-    rows, cols = np.triu_indices(dim)
+    rows, cols = _upper_triangle(dim)
     moments = resp.T @ pairs
     second = np.empty((len(nk), dim, dim))
     second[:, rows, cols] = moments
@@ -343,7 +353,7 @@ def _expected_log_likelihood_terms(z: np.ndarray, pairs: np.ndarray,
     row of C holds nu_k W_k's upper triangle with off-diagonal terms doubled.
     """
     dim = z.shape[1]
-    rows, cols = np.triu_indices(dim)
+    rows, cols = _upper_triangle(dim)
     coef = post.nu[:, None] * np.where(rows == cols, 1.0, 2.0) * post.w[:, rows, cols]
     wm = post.nu[:, None] * (post.w @ post.m[:, :, None])[:, :, 0]
     quad = pairs @ coef.T - 2.0 * (z @ wm.T) + np.sum(wm * post.m, axis=1)

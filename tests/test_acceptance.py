@@ -1,4 +1,4 @@
-"""Acceptance gate: nine end-to-end checks with one printed verdict line each.
+"""Acceptance gate: ten end-to-end checks with one printed verdict line each.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the verdict lines.
 """
@@ -6,6 +6,7 @@ Run with ``pytest -s tests/test_acceptance.py`` to see the verdict lines.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ import pytest
 from summertime.classify import loss_and_gradients
 from summertime.cli import main
 from summertime.config import PipelineConfig
-from summertime.dataset import generate_synthetic
-from summertime.evaluate import compare_regression_modes, run_loso
+from summertime.dataset import DEFAULT_REGIMES, generate_synthetic
+from summertime.evaluate import run_loso
 from summertime.features import PERCENTILE_FRACTIONS, percentile_rank, window_matrix
 from summertime.reference import reference_panel
 from summertime.summarize import summarize_bout
@@ -50,8 +51,7 @@ def loso_runs(default_corpus, default_config):
         method: run_loso(default_corpus, method, default_config)
         for method in ("summertime", "ann_voting")
     }
-    modes = compare_regression_modes(default_corpus, default_config)
-    return reports, modes, time.time() - start
+    return reports, reports["summertime"].regression_modes, time.time() - start
 
 
 # ---- criterion 1: mixture model selection --------------------------------
@@ -271,3 +271,43 @@ def test_criterion_9_reference_fixtures():
     ok = diag_ok and run_ok and rmse_ok and counts_ok
     verdict(9, ok, f"recall diagonal {diag_ok}, voting recall for running {run_ok}, "
                    f"per-class RMSE row {rmse_ok}, window counts {counts_ok}")
+
+
+# ---- criterion 10: the overlap gate --------------------------------------
+
+# The default regimes with overlapping classes: a Run window is drawn from
+# the Walk regime with probability 0.6, and an MtV window from LHH with
+# probability 0.55.  Fixed parameters, not tuned to the outcome.
+OVERLAP_REGIMES = tuple(
+    replace(r, interleave={"Run": ("Walk", 0.6), "MtV": ("LHH", 0.55)}.get(r.label))
+    for r in DEFAULT_REGIMES
+)
+OVERLAP_SEEDS = (7, 11, 12, 13, 14)
+
+
+def test_criterion_10_summaries_beat_voting_on_overlapping_classes(default_config):
+    start = time.time()
+    generator = replace(
+        default_config.synthetic.generator_config(default_config.window_length),
+        subjects=6, regimes=OVERLAP_REGIMES,
+    )
+    labels = [r.label for r in OVERLAP_REGIMES]
+    run, mtv = labels.index("Run"), labels.index("MtV")
+    wins, rows = 0, []
+    for seed in OVERLAP_SEEDS:
+        corpus = generate_synthetic(generator, seed)
+        ours, voting = (run_loso(corpus, method, default_config)
+                        for method in ("summertime", "ann_voting"))
+        won = (ours.recall_per_class[run] > voting.recall_per_class[run]
+               and ours.recall_per_class[mtv] > voting.recall_per_class[mtv]
+               and ours.rmse_overall <= voting.rmse_overall)
+        wins += won
+        rows.append(f"seed {seed} Run {ours.recall_per_class[run]:.3f}/"
+                    f"{voting.recall_per_class[run]:.3f} MtV "
+                    f"{ours.recall_per_class[mtv]:.3f}/"
+                    f"{voting.recall_per_class[mtv]:.3f} RMSE "
+                    f"{ours.rmse_overall:.3f}/{voting.rmse_overall:.3f}")
+    ok = wins == len(OVERLAP_SEEDS)
+    verdict(10, ok, f"summertime/ann_voting at 6 subjects, won {wins}/"
+                    f"{len(OVERLAP_SEEDS)} seeds ({'; '.join(rows)}); "
+                    f"{time.time() - start:.0f}s")

@@ -1,11 +1,13 @@
 """Corpus model, disk round trip, loader diagnostics, LOSO folds, generator."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from summertime.dataset import (
+    DEFAULT_REGIMES,
     Bout,
     ClassRegime,
     Corpus,
@@ -100,6 +102,65 @@ def test_synthetic_config_validation():
     ))
     with pytest.raises(ConfigError, match="base_count"):
         bad.validate()
+
+
+@pytest.mark.parametrize("interleave, message", [
+    (("Jog", 0.5), "regime 'B': interleave names no regime 'Jog'"),
+    (("A", -0.1), r"regime 'B': interleave probability must be in \[0, 1\)"),
+    (("A", 1.0), r"regime 'B': interleave probability must be in \[0, 1\)"),
+])
+def test_interleave_must_name_a_regime_and_a_probability(interleave, message):
+    bad = SyntheticConfig(regimes=(
+        ClassRegime("A", base_count=10, count_std=1),
+        ClassRegime("B", base_count=20, count_std=1, interleave=interleave),
+    ))
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        bad.validate()
+
+
+def window_sources(pause_fraction):
+    """Run windows of a corpus whose Run regime interleaves Walk at 0.9:
+    for each, the regime its primary-axis level belongs to, and whether its
+    target follows that regime's MET rule."""
+    regimes = (
+        ClassRegime("Sed", base_count=8.0, count_std=2.0, met_intercept=1.0),
+        ClassRegime("Walk", base_count=500.0, count_std=5.0,
+                    met_intercept=1.8, met_slope=0.004),
+        ClassRegime("Run", base_count=800.0, count_std=5.0, met_intercept=2.5,
+                    met_slope=0.010, pause_fraction=pause_fraction,
+                    interleave=("Walk", 0.9)),
+    )
+    config = SyntheticConfig(subjects=4, bouts_per_class=3, regimes=regimes)
+    by_label = {r.label: r for r in regimes}
+    sources = []
+    for bout in generate_synthetic(config, 4).bouts:
+        if bout.activity_class != "Run":
+            continue
+        for w, target in enumerate(bout.targets):
+            block = bout.signal[w * 12:(w + 1) * 12]
+            level = block[:, 0].mean()
+            label = "Sed" if level < 100 else "Walk" if level < 650 else "Run"
+            rule = by_label[label]
+            expected = rule.met_intercept + rule.met_slope * block.mean()
+            sources.append((label, abs(target - expected) < 0.75))
+    return sources
+
+
+def test_interleaved_windows_come_from_the_named_regime():
+    sources = window_sources(pause_fraction=0.0)
+    counts = Counter(label for label, _ in sources)
+    assert counts["Sed"] == 0
+    assert 0.8 < counts["Walk"] / len(sources) < 0.97
+    assert counts["Run"] > 0
+    assert all(follows_rule for _, follows_rule in sources)
+
+
+def test_a_pause_wins_over_the_interleave():
+    sources = window_sources(pause_fraction=0.5)
+    counts = Counter(label for label, _ in sources)
+    assert 0.35 < counts["Sed"] / len(sources) < 0.65
+    assert counts["Walk"] > 4 * counts["Run"] > 0
+    assert all(follows_rule for _, follows_rule in sources)
 
 
 # ---- disk round trip -----------------------------------------------------
@@ -299,6 +360,16 @@ def test_generator_output_is_pinned():
     small = SyntheticConfig(subjects=2, bouts_per_class=1)
     assert corpus_fingerprint(generate_synthetic(small, 3)) == (
         "a44df46181f000693b4f9865e03d85a0fb546c25a480a201c4bdf328d18b1ae1"
+    )
+
+
+def test_interleaved_generator_output_is_pinned():
+    # Pins the draw order of an interleaving regime: the pause draw, then
+    # the interleave draw, on every window, whether or not the pause fired.
+    regimes = DEFAULT_REGIMES[:4] + (replace(DEFAULT_REGIMES[4], interleave=("Walk", 0.6)),)
+    small = SyntheticConfig(subjects=2, bouts_per_class=1, regimes=regimes)
+    assert corpus_fingerprint(generate_synthetic(small, 3)) == (
+        "9eae6338d5165fc0901dbb6a7288746e33dca5f9c38f2ec3fc4c0ce55e881464"
     )
 
 

@@ -5,19 +5,23 @@ import json
 import numpy as np
 import pytest
 
+from summertime import regress
 from summertime.config import METHOD_NAMES, PipelineConfig, apply_overrides
-from summertime.dataset import Corpus, SyntheticConfig, generate_synthetic
+from summertime.dataset import Corpus, SyntheticConfig, generate_synthetic, loso_folds
 from summertime.errors import EvaluationError, FitError
 from summertime.evaluate import (
     METHOD_RUNNERS,
+    FoldResult,
     compare_methods,
-    compare_regression_modes,
     corpus_fingerprint,
     derive_stage_seeds,
     report_to_dict,
     rmse,
     run_loso,
 )
+from summertime.features import featurize_corpus, stack_features
+from summertime.summarize import summarize_corpus
+from summertime.vbgmm import fit_mixture
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +36,8 @@ def config():
 
 def oracle_runner(train, test, config, seeds, labels):
     """Copies the truth: every bout gets its own class and exact mean MET."""
-    return [(feat.activity_class, float(np.mean(feat.targets))) for feat in test]
+    return FoldResult([(feat.activity_class, float(np.mean(feat.targets)))
+                       for feat in test])
 
 
 @pytest.fixture(scope="module")
@@ -157,7 +162,7 @@ def test_fold_failures_carry_fold_context(corpus, config):
 
 def test_wrong_prediction_count_is_rejected(corpus, config):
     def short(train, test, config, seeds, labels):
-        return oracle_runner(train, test, config, seeds, labels)[:-1]
+        return FoldResult(oracle_runner(train, test, config, seeds, labels).predictions[:-1])
 
     with pytest.raises(EvaluationError, match="predictions"):
         run_loso(corpus, "stub", config, runner=short)
@@ -166,7 +171,7 @@ def test_wrong_prediction_count_is_rejected(corpus, config):
 def test_report_dict_is_json_clean_with_none_for_nan(corpus, config):
     def classless(train, test, config, seeds, labels):
         # always predict the first label and give no MET estimate
-        return [(labels[0], None) for _ in test]
+        return FoldResult([(labels[0], None) for _ in test])
 
     report = run_loso(corpus, "stub", config, runner=classless)
     payload = report_to_dict(report)
@@ -174,8 +179,9 @@ def test_report_dict_is_json_clean_with_none_for_nan(corpus, config):
     assert set(payload) == {
         "method", "labels", "confusion", "recall_per_class", "overall_recall",
         "confusion_windows", "recall_windows", "rmse_per_class", "rmse_overall",
-        "fold_count", "config_fingerprint", "folds", "outcomes",
+        "fold_count", "config_fingerprint", "folds", "outcomes", "regression_modes",
     }
+    assert payload["regression_modes"] is None
     assert payload["rmse_overall"] is None
     assert all(v is None for v in payload["rmse_per_class"])
     assert json.loads(text)["method"] == "stub"
@@ -210,12 +216,81 @@ def test_compare_methods_payload_shape(tiny_corpus, config):
     assert list(panel["window_counts"].values()) == [16475, 2505, 1570, 3775, 485]
 
 
-def test_compare_regression_modes_train_inequality(tiny_corpus, config):
-    result = compare_regression_modes(tiny_corpus, config)
+def reference_regression_modes(corpus, config):
+    """The second LOSO pass that computed the regression-design comparison
+    before the ``summertime`` folds recorded it: refit each fold's mixture,
+    fit both per-class suites, and pool unclamped true-class window
+    estimates.  Kept as an oracle for ``EvaluationReport.regression_modes``.
+    """
+    pooled = {f"{split}_{kind}": [] for split in ("train", "test")
+              for kind in ("actual", "augmented", "window_only")}
+    labels = corpus.label_set
+    seeds = derive_stage_seeds(config, len(corpus.subject_ids))
+    for (train, test), fold_seeds in zip(loso_folds(corpus), seeds):
+        train_feats = featurize_corpus(train, config.window_length)
+        test_feats = featurize_corpus(test, config.window_length)
+        mixture = fit_mixture(stack_features(train_feats), settings=config.gmm,
+                              seed=fold_seeds.mixture)
+        train_sums = summarize_corpus(mixture, train_feats)
+        test_sums = summarize_corpus(mixture, test_feats)
+        suites = {
+            "augmented": regress.fit_regression_suite(train_feats, train_sums, labels),
+            "window_only": regress.fit_regression_suite(train_feats, None, labels),
+        }
+        for split, feats, sums in (("train", train_feats, train_sums),
+                                   ("test", test_feats, test_sums)):
+            for feat, summary in zip(feats, sums):
+                if feat.targets is None:
+                    continue
+                pooled[f"{split}_actual"].append(np.asarray(feat.targets, dtype=float))
+                for mode, suite in suites.items():
+                    pooled[f"{split}_{mode}"].append(regress.predict_windows(
+                        suite, feat.activity_class, feat.matrix, summary.ratios))
+    result = {}
+    for split in ("train", "test"):
+        actual = np.concatenate(pooled[f"{split}_actual"])
+        for mode in ("augmented", "window_only"):
+            predicted = np.concatenate(pooled[f"{split}_{mode}"])
+            result[f"{split}_rmse_{mode}"] = rmse(predicted, actual)
+    return result
+
+
+@pytest.fixture(scope="module")
+def tiny_summertime(tiny_corpus, config):
+    return run_loso(tiny_corpus, "summertime", config)
+
+
+def test_regression_modes_equal_the_second_pass_exactly(tiny_summertime,
+                                                        tiny_corpus, config):
+    assert tiny_summertime.regression_modes == reference_regression_modes(
+        tiny_corpus, config)
+
+
+def test_methods_without_facts_report_no_regression_modes(tiny_corpus, config,
+                                                          oracle_report):
+    assert oracle_report.regression_modes is None
+    for method in METHOD_NAMES:
+        if method != "summertime":
+            assert run_loso(tiny_corpus, method, config).regression_modes is None
+
+
+def test_a_split_without_target_windows_reports_none(corpus, config):
+    def train_facts_only(train, test, config, seeds, labels):
+        facts = {"train": [(f.targets, f.targets, f.targets) for f in train],
+                 "test": []}
+        return FoldResult(oracle_runner(train, test, config, seeds, labels).predictions,
+                          facts)
+
+    modes = run_loso(corpus, "stub", config, runner=train_facts_only).regression_modes
+    assert modes == {"train_rmse_augmented": 0.0, "train_rmse_window_only": 0.0,
+                     "test_rmse_augmented": None, "test_rmse_window_only": None}
+
+
+def test_compare_regression_modes_train_inequality(tiny_summertime):
+    result = tiny_summertime.regression_modes
     assert set(result) == {
         "train_rmse_augmented", "train_rmse_window_only",
         "test_rmse_augmented", "test_rmse_window_only",
     }
     assert result["train_rmse_augmented"] <= result["train_rmse_window_only"] + 1e-9
     assert all(v >= 0 for v in result.values())
-

@@ -21,6 +21,7 @@ from summertime.vbgmm import (
     _pair_products,
     _softmax_rows,
     _update_posterior,
+    _upper_triangle,
     assign,
     component_log_scores,
     fit_mixture,
@@ -306,6 +307,21 @@ def test_start_equals_the_two_pass_start(default_windows):
             ties += np.sum(np.sum(d2 == d2.min(axis=1, keepdims=True), axis=1) > 1)
         if name != "windows":
             assert ties > 0, name
+
+
+@pytest.mark.parametrize("dim", [1, 2, 18])
+def test_pair_layout_is_one_read_only_index_pair_per_dimension(dim):
+    rows, cols = _upper_triangle(dim)
+    assert _upper_triangle(dim)[0] is rows and _upper_triangle(dim)[1] is cols
+    want_rows, want_cols = np.triu_indices(dim)
+    np.testing.assert_array_equal(rows, want_rows)
+    np.testing.assert_array_equal(cols, want_cols)
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        cols[0] = 1
+    z = np.random.default_rng(dim).normal(size=(7, dim))
+    np.testing.assert_array_equal(_pair_products(z), z[:, rows] * z[:, cols])
 
 
 def test_default_corpus_fit_is_pinned(default_windows):
