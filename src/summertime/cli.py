@@ -20,7 +20,7 @@ from .errors import (ConfigError, ConsistencyError, CorpusLoadError,
                      EvaluationError, FitError, SummertimeError)
 from .evaluate import (FittedPipeline, compare_methods, fit_pipeline,
                        write_report_files)
-from .features import featurize_corpus, write_features_csv
+from .features import featurize_corpus, stack_features, write_features_csv
 from .summarize import summarize_corpus, write_summaries_csv
 
 log = logging.getLogger(__name__)
@@ -113,8 +113,10 @@ def _fit_and_save(corpus: Corpus, config: PipelineConfig
     """Fit every stage on the whole corpus and write the three model files."""
     features = featurize_corpus(corpus, config.window_length)
     log.info("fitting mixture on %d windows", sum(f.window_count for f in features))
-    fitted = fit_pipeline(features, corpus.label_set, config,
-                          config.gmm.seed, config.mlp.seed)
+    mixture = vbgmm.fit_mixture(stack_features(features), settings=config.gmm,
+                                seed=config.gmm.seed)
+    fitted = fit_pipeline(features, corpus.label_set, config, mixture,
+                          config.mlp.seed)
     log.info("mixture kept %d components", fitted.mixture.component_count)
     out = Path(config.io.out)
     out.mkdir(parents=True, exist_ok=True)

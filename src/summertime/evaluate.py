@@ -23,9 +23,13 @@ bout and the facts its fits recorded.
 * ``ann_regression`` -- voting classifier; a linear-head network regressing
                         MET directly from window features.
 
-The four voting baselines share one runner and differ only in their MET
-estimator; they record no facts.  Each report's ``regression_modes`` is read
-from the facts of the ``summertime`` folds (see ``_run_summertime``).
+The ``summertime`` runner fits the mixture with ``fit_mixture`` and the rest
+of the pipeline with ``fit_pipeline``, as the CLI's whole-corpus fit does,
+and labels its test bouts with ``FittedPipeline.predict``, the one
+summarize -> classify -> regress chain.  The four voting baselines share one
+runner and differ only in their MET estimator; they record no facts.  Each
+report's ``regression_modes`` is read from the facts of the ``summertime``
+folds (see ``_run_summertime``).
 
 Reports are deterministic functions of (corpus, config): per-fold seeds are
 derived from the config seeds, and folds run serially in fold order.
@@ -67,13 +71,17 @@ def rmse(predicted: np.ndarray, actual: np.ndarray) -> float:
 
 
 def corpus_fingerprint(corpus: Corpus) -> str:
-    """Content hash over bout identities, labels, signals and targets."""
+    """Content hash over bout identities, labels, signals and targets.
+
+    Each bout's bytes follow a JSON record of its identity, signal shape and
+    target count (null without targets), so no two corpora share one byte
+    stream: a bout's targets cannot pass for more signal samples."""
     digest = hashlib.sha256()
-    digest.update(f"{corpus.axis_count}|{','.join(corpus.label_set)}".encode())
+    digest.update(json.dumps([corpus.axis_count, corpus.label_set]).encode())
     for bout in corpus.bouts:
-        digest.update(
-            f"|{bout.bout_id}|{bout.subject_id}|{bout.activity_class}".encode()
-        )
+        targets = None if bout.targets is None else len(bout.targets)
+        digest.update(json.dumps([bout.bout_id, bout.subject_id, bout.activity_class,
+                                  bout.signal.shape, targets]).encode())
         digest.update(np.ascontiguousarray(bout.signal).tobytes())
         if bout.targets is not None:
             digest.update(np.ascontiguousarray(bout.targets).tobytes())
@@ -170,19 +178,32 @@ class FittedPipeline:
     classifier: classify.MlpModel
     suite: regress.RegressionSuite
 
+    def predict(self, feats: Sequence[WindowFeatures], aggregation: str
+                ) -> tuple[list[tuple[str, float]], list[SummaryVector]]:
+        """Each bout's (predicted class, MET estimate), in order, and the
+        summaries they were computed from: summarize with the mixture,
+        classify the summary, and estimate MET with the predicted class's
+        summary-augmented model."""
+        summaries = summarize_corpus(self.mixture, feats)
+        predictions = []
+        for feat, summary in zip(feats, summaries):
+            label = classify.predict_class(self.classifier, summary.ratios).label
+            predictions.append((label, regress.predict_bout_met(
+                self.suite, label, feat, summary.ratios, aggregation)))
+        return predictions, summaries
+
 
 def fit_pipeline(train_feats: Sequence[WindowFeatures], labels: tuple[str, ...],
-                 config: PipelineConfig, mixture_seed: int,
+                 config: PipelineConfig, mixture: MixtureModel,
                  classifier_seed: int) -> FittedPipeline:
-    """Fit the mixture, summarize the training bouts, train the summary
+    """Summarize the training bouts with a fitted mixture, train the summary
     classifier and fit the per-class regression suite on summary-augmented
     designs.
 
     The CLI fits the whole corpus with the config seeds; the ``summertime``
-    method fits each LOSO fold's training set with that fold's seeds.
+    method fits each LOSO fold's training set with that fold's seeds.  Both
+    fit the mixture first, with ``fit_mixture``.
     """
-    mixture = fit_mixture(stack_features(train_feats), settings=config.gmm,
-                          seed=mixture_seed)
     summaries = summarize_corpus(mixture, train_feats)
     classifier = classify.train_mlp(
         summary_matrix(summaries),
@@ -232,15 +253,10 @@ def _run_summertime(train_feats: list[WindowFeatures],
     routed to the true class and unclamped.  On the training split that is a
     least-squares contest the augmented design, a column superset, cannot
     lose."""
-    fitted = fit_pipeline(train_feats, labels, config, seeds.mixture,
-                          seeds.classifier)
-    test_sums = summarize_corpus(fitted.mixture, test_feats)
-    predictions = []
-    for feat, summary in zip(test_feats, test_sums):
-        prediction = classify.predict_class(fitted.classifier, summary.ratios)
-        met = regress.predict_bout_met(fitted.suite, prediction.label, feat,
-                                       summary.ratios, config.regression.aggregation)
-        predictions.append((prediction.label, met))
+    mixture = fit_mixture(stack_features(train_feats), settings=config.gmm,
+                          seed=seeds.mixture)
+    fitted = fit_pipeline(train_feats, labels, config, mixture, seeds.classifier)
+    predictions, test_sums = fitted.predict(test_feats, config.regression.aggregation)
     suites = (fitted.suite, regress.fit_regression_suite(train_feats, None, labels))
     facts = {"train": [], "test": []}
     for split, feats, sums in (("train", train_feats, fitted.summaries),

@@ -6,7 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from summertime import classify, regress, vbgmm
 from summertime.cli import _build_parser, _resolve_config, main
+from summertime.config import load_config
+from summertime.dataset import generate_synthetic
+from summertime.evaluate import fit_pipeline
+from summertime.features import featurize_corpus, stack_features
 
 SMALL = {
     "synthetic": {"subjects": 3, "bouts_per_class": 1, "seed": 19},
@@ -72,6 +77,30 @@ def test_fit_then_summarize_round_trip(tmp_path):
     rows = np.array([[float(v) for v in line.split(",")[4:]] for line in lines[1:]])
     assert rows.shape[0] == 15  # 3 subjects x 5 classes x 1 bout
     np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
+
+
+def test_fit_writes_the_models_of_the_in_process_pipeline(tmp_path):
+    cfg = write_config(tmp_path)
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "cli")]) == 0
+    config = load_config(cfg)
+    corpus = generate_synthetic(config.synthetic.generator_config(config.window_length),
+                                config.synthetic.seed)
+    feats = featurize_corpus(corpus, config.window_length)
+    mixture = vbgmm.fit_mixture(stack_features(feats), settings=config.gmm,
+                                seed=config.gmm.seed)
+    fitted = fit_pipeline(feats, corpus.label_set, config, mixture, config.mlp.seed)
+    mine = tmp_path / "in_process"
+    mine.mkdir()
+    vbgmm.save_model(fitted.mixture, mine / "model_gmm.json")
+    classify.save_model(fitted.classifier, mine / "model_mlp.json")
+    regress.save_suite(fitted.suite, mine / "model_regression.json")
+    assert read_tree(tmp_path / "cli") == read_tree(mine)
+    predictions, summaries = fitted.predict(feats, config.regression.aggregation)
+    assert len(predictions) == len(corpus.bouts)
+    assert ([(s.bout_id, s.activity_class, s.window_count, s.ratios.tolist())
+             for s in summaries]
+            == [(s.bout_id, s.activity_class, s.window_count, s.ratios.tolist())
+                for s in fitted.summaries])
 
 
 def test_summarize_without_model_fails_cleanly(tmp_path, capsys):

@@ -355,11 +355,11 @@ def test_generator_output_is_pinned():
     # Any change to the generator's draws, device constants or rounding moves
     # these hashes; the default corpus is the one every report is built on.
     assert corpus_fingerprint(generate_synthetic(SyntheticConfig(), 7)) == (
-        "e38e12aec465990dfd322b4bcdfffa75bf34b06a5bb733dda167eb696105d5e5"
+        "630c12d2b8afd670c6834501654edfc28bb22494b0dda15c3cb9dbab2a28585a"
     )
     small = SyntheticConfig(subjects=2, bouts_per_class=1)
     assert corpus_fingerprint(generate_synthetic(small, 3)) == (
-        "a44df46181f000693b4f9865e03d85a0fb546c25a480a201c4bdf328d18b1ae1"
+        "9a947770d664df9db749fcbf9e53b164a8fd86679adea3154ba165edd3149a85"
     )
 
 
@@ -369,7 +369,7 @@ def test_interleaved_generator_output_is_pinned():
     regimes = DEFAULT_REGIMES[:4] + (replace(DEFAULT_REGIMES[4], interleave=("Walk", 0.6)),)
     small = SyntheticConfig(subjects=2, bouts_per_class=1, regimes=regimes)
     assert corpus_fingerprint(generate_synthetic(small, 3)) == (
-        "9eae6338d5165fc0901dbb6a7288746e33dca5f9c38f2ec3fc4c0ce55e881464"
+        "05457bc72338a823276bc7274d13ff785257b589dd8213f31cebab058a029df4"
     )
 
 

@@ -7,7 +7,8 @@ import pytest
 
 from summertime import regress
 from summertime.config import METHOD_NAMES, PipelineConfig, apply_overrides
-from summertime.dataset import Corpus, SyntheticConfig, generate_synthetic, loso_folds
+from summertime.dataset import (Bout, Corpus, SyntheticConfig, generate_synthetic,
+                                load_corpus, loso_folds, save_corpus)
 from summertime.errors import EvaluationError, FitError
 from summertime.evaluate import (
     METHOD_RUNNERS,
@@ -70,6 +71,23 @@ def test_corpus_fingerprint_tracks_content(corpus):
     assert corpus_fingerprint(corpus) == corpus_fingerprint(again)
     other = generate_synthetic(SyntheticConfig(subjects=4, bouts_per_class=1), 12)
     assert corpus_fingerprint(corpus) != corpus_fingerprint(other)
+
+
+def test_corpus_fingerprint_frames_targets_apart_from_signal(tmp_path):
+    # A 12x3 bout with three window targets, and the same bout with those
+    # targets as a 13th signal row and none: one byte stream, two corpora.
+    signal = np.arange(36, dtype=float).reshape(12, 3)
+    targets = np.array([1.5, 2.0, 2.5])
+    corpora = [Corpus((Bout("b1", "s1", "Walk", bout_signal, bout_targets),), 3,
+                      ("Sed", "Walk"))
+               for bout_signal, bout_targets in ((signal, targets),
+                                                 (np.vstack([signal, targets]), None))]
+    assert corpora[1].bouts[0].signal.tobytes() == signal.tobytes() + targets.tobytes()
+    for i, corpus in enumerate(corpora):
+        save_corpus(corpus, tmp_path / str(i), window_length=4)
+        loaded = load_corpus(tmp_path / str(i), window_length=4)
+        assert corpus_fingerprint(loaded) == corpus_fingerprint(corpus)
+    assert corpus_fingerprint(corpora[0]) != corpus_fingerprint(corpora[1])
 
 
 def test_stage_seeds_are_deterministic_and_distinct(config):
