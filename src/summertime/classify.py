@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import FitError, load_payload, reading_payload, require_finite, save_payload
-from .vbgmm import Standardizer
+from .vbgmm import Standardizer, _softmax_rows
 
 
 @dataclass(frozen=True)
@@ -186,20 +186,10 @@ def _forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
     return hidden, output
 
 
-def _softmax(logits: np.ndarray, out: np.ndarray | None = None,
-             row: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax into ``out``; ``row`` is an (N, 1) scratch buffer."""
-    row = np.maximum.reduce(logits, axis=1, keepdims=True, out=row)
-    out = np.subtract(logits, row, out=out)
-    np.exp(out, out=out)
-    np.add.reduce(out, axis=1, keepdims=True, out=row)
-    return np.divide(out, row, out=out)
-
-
 def _data_loss(output: np.ndarray, y: np.ndarray, head: str) -> float:
     """Mean per-example data loss of the outputs ``output`` against ``y``."""
     if head == "softmax":
-        probs = _softmax(output)
+        probs = _softmax_rows(output)
         return float(-np.add.reduce(y * np.log(np.maximum(probs, 1e-300)), axis=None)
                      / len(y))
     return float(0.5 * np.add.reduce((output - y) ** 2, axis=None) / len(y))
@@ -214,7 +204,7 @@ def _output_delta(output: np.ndarray, y: np.ndarray, head: str,
     buffer.
     """
     if head == "softmax":
-        output = _softmax(output, out, row)
+        output = _softmax_rows(output, out, row)
     delta = np.subtract(output, y, out=out)
     return np.divide(delta, len(y), out=delta)
 
@@ -397,7 +387,7 @@ def predict_probabilities(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     if model.head != "softmax":
         raise ValueError("probabilities are only defined for the softmax head")
     _, output = _forward(_prepare(model, inputs), model.w1, model.b1, model.w2, model.b2)
-    return _softmax(output)
+    return _softmax_rows(output)
 
 
 def predict_class(model: MlpModel, inputs: np.ndarray) -> ClassPrediction:

@@ -142,8 +142,14 @@ def save_corpus(corpus: Corpus, path: str | Path,
     """Write ``corpus`` under directory ``path`` in the canonical layout.
 
     Targets are written with the first-row convention: the ``met`` cell is
-    filled on the first sample of each window and left empty elsewhere.
+    filled on the first sample of each window and left empty elsewhere; a
+    bout must carry one target per window, or none.
     """
+    for bout in corpus.bouts:
+        windows = bout.sample_count // window_length
+        if bout.targets is not None and len(bout.targets) != windows:
+            raise ValueError(f"bout {bout.bout_id!r}: {windows} windows of {window_length} "
+                             f"samples but {len(bout.targets)} targets")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
     with open(root / MANIFEST_NAME, "w", newline="\n", encoding="utf-8") as fh:

@@ -8,8 +8,10 @@ held-out bouts.  Classification is scored per bout; a window-weighted view
 
 Five method pipelines share this harness.  The harness featurizes each
 fold's train and test split and hands the window features to the method's
-runner, which returns a ``FoldResult``: one (class, MET) prediction per test
-bout and the facts its fits recorded.
+runner, which returns a ``FoldResult``: one (class, per-window MET estimates)
+prediction per test bout and the facts its fits recorded.  ``_run_fold`` then
+turns every bout's estimates into its MET with ``regress.bout_met``, one rule
+for all five methods, beside the bout's actual MET.
 
 * ``summertime``     -- cluster-ratio summaries -> summary classifier ->
                         per-class regression on summary-augmented designs.
@@ -37,6 +39,7 @@ derived from the config seeds, and folds run serially in fold order.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass
@@ -89,8 +92,8 @@ def corpus_fingerprint(corpus: Corpus) -> str:
 
 
 def _train_fingerprint(bouts: Sequence[Bout]) -> str:
-    joined = "|".join(sorted(b.bout_id for b in bouts))
-    return hashlib.sha256(joined.encode()).hexdigest()
+    ids = json.dumps(sorted(b.bout_id for b in bouts))  # framed: "a|b" is not a, b
+    return hashlib.sha256(ids.encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -178,18 +181,18 @@ class FittedPipeline:
     classifier: classify.MlpModel
     suite: regress.RegressionSuite
 
-    def predict(self, feats: Sequence[WindowFeatures], aggregation: str
-                ) -> tuple[list[tuple[str, float]], list[SummaryVector]]:
-        """Each bout's (predicted class, MET estimate), in order, and the
-        summaries they were computed from: summarize with the mixture,
-        classify the summary, and estimate MET with the predicted class's
-        summary-augmented model."""
+    def predict(self, feats: Sequence[WindowFeatures]
+                ) -> tuple[list[tuple[str, np.ndarray]], list[SummaryVector]]:
+        """Each bout's (predicted class, per-window MET estimates), in order,
+        and the summaries they were computed from: summarize with the
+        mixture, classify the summary, and estimate each window's MET with
+        the predicted class's summary-augmented model."""
         summaries = summarize_corpus(self.mixture, feats)
         predictions = []
         for feat, summary in zip(feats, summaries):
             label = classify.predict_class(self.classifier, summary.ratios).label
-            predictions.append((label, regress.predict_bout_met(
-                self.suite, label, feat, summary.ratios, aggregation)))
+            predictions.append((label, regress.predict_windows(
+                self.suite, label, feat.matrix, summary.ratios)))
         return predictions, summaries
 
 
@@ -222,10 +225,10 @@ def fit_pipeline(train_feats: Sequence[WindowFeatures], labels: tuple[str, ...],
 
 @dataclass(frozen=True)
 class FoldResult:
-    """One fold's (predicted_class, predicted_met or None) per test bout, in
-    test-bout order, and the lists of rows its fits recorded, by name."""
+    """One fold's (predicted class, window MET estimates or None) per test bout,
+    in test-bout order, and the lists of rows its fits recorded, by name."""
 
-    predictions: list[tuple[str, float | None]]
+    predictions: list[tuple[str, np.ndarray | None]]
     facts: dict[str, list] | None = None
 
 
@@ -234,15 +237,15 @@ FoldRunner = Callable[
      tuple[str, ...]],
     FoldResult,
 ]
-# A runner maps one fold's (train, test) window features to its FoldResult.
-# Registered under METHOD_RUNNERS; tests may inject stubs.
+# A runner maps one fold's (train, test) window features to its FoldResult,
+# estimating MET per window.  Registered under METHOD_RUNNERS; tests may inject stubs.
 
 MetEstimator = Callable[
     [Sequence[WindowFeatures], PipelineConfig, StageSeeds, tuple[str, ...]],
-    Callable[[str, WindowFeatures], float],
+    Callable[[str, np.ndarray], np.ndarray],
 ]
 # An estimator fits on the training features and returns
-# met_of(predicted_class, test_bout_features).
+# met_of(predicted_class, test_window_matrix), the per-window estimates.
 
 
 def _run_summertime(train_feats: list[WindowFeatures],
@@ -256,7 +259,7 @@ def _run_summertime(train_feats: list[WindowFeatures],
     mixture = fit_mixture(stack_features(train_feats), settings=config.gmm,
                           seed=seeds.mixture)
     fitted = fit_pipeline(train_feats, labels, config, mixture, seeds.classifier)
-    predictions, test_sums = fitted.predict(test_feats, config.regression.aggregation)
+    predictions, test_sums = fitted.predict(test_feats)
     suites = (fitted.suite, regress.fit_regression_suite(train_feats, None, labels))
     facts = {"train": [], "test": []}
     for split, feats, sums in (("train", train_feats, fitted.summaries),
@@ -272,18 +275,14 @@ def _run_summertime(train_feats: list[WindowFeatures],
 def _per_class_ols(train_feats, config, seeds, labels):
     """``ann_voting``, ``fivereg_ann``: OLS of the predicted class, window-only."""
     suite = regress.fit_regression_suite(train_feats, None, labels)
-    how = config.regression.aggregation
-    return lambda label, feat: regress.predict_bout_met(suite, label, feat, None, how)
+    return lambda label, matrix: regress.predict_windows(suite, label, matrix, None)
 
 
 def _global_ols(train_feats, config, seeds, labels):
     """``linreg_local``: one OLS over every training window, no class routing."""
     x, y, _ = regress.stack_targets(train_feats)
     beta = regress.fit_ols(regress.build_design_rows(x, None), y)
-    how = config.regression.aggregation
-    return lambda label, feat: max(
-        regress.aggregate(regress.build_design_rows(feat.matrix, None) @ beta, how), 0.0
-    )
+    return lambda label, matrix: regress.build_design_rows(matrix, None) @ beta
 
 
 def _mlp_regressor(train_feats, config, seeds, labels):
@@ -291,15 +290,12 @@ def _mlp_regressor(train_feats, config, seeds, labels):
     x, y, _ = regress.stack_targets(train_feats)
     regressor = classify.train_mlp(x, y, class_labels=None, settings=config.mlp,
                                    seed=seeds.regressor, standardize_inputs=True)
-    how = config.regression.aggregation
-    return lambda label, feat: regress.aggregate(
-        classify.predict_values(regressor, feat.matrix), how
-    )
+    return lambda label, matrix: classify.predict_values(regressor, matrix)
 
 
 def _voting(fit_met: MetEstimator) -> FoldRunner:
     """A baseline runner: a per-window classifier whose majority vote labels
-    each test bout, and ``fit_met``'s estimate of the bout's MET."""
+    each test bout, and ``fit_met``'s estimates of the bout's window METs."""
     def run(train_feats, test_feats, config, seeds, labels):
         classifier = classify.train_mlp(
             stack_features(train_feats),
@@ -313,7 +309,7 @@ def _voting(fit_met: MetEstimator) -> FoldRunner:
         predictions = []
         for feat in test_feats:
             label = classify.classify_bout_voting(classifier, feat.matrix).label
-            predictions.append((label, met_of(label, feat)))
+            predictions.append((label, met_of(label, feat.matrix)))
         return FoldResult(predictions)
     return run
 
@@ -372,9 +368,10 @@ def _run_fold(runner: FoldRunner, fold_index: int, train: Corpus, test: Corpus,
             window_count=feat.window_count,
             actual_met=(None if feat.targets is None
                         else regress.aggregate(feat.targets, aggregation)),
-            predicted_met=predicted_met,
+            predicted_met=(None if estimates is None
+                           else regress.bout_met(estimates, aggregation)),
         )
-        for feat, (predicted_class, predicted_met) in zip(test_feats, result.predictions)
+        for feat, (predicted_class, estimates) in zip(test_feats, result.predictions)
     ]
     summary = FoldSummary(
         fold_index=fold_index,
@@ -540,26 +537,23 @@ def write_report_files(comparison: dict, out_dir: str | Path) -> list[Path]:
         fh.write("\n")
     written.append(report_path)
     labels = comparison["labels"]
+
+    def cell(value) -> str:
+        return "" if value is None else repr(value)
+
     for method, payload in comparison["methods"].items():
-        confusion_path = out / f"confusion_{method}.csv"
-        with open(confusion_path, "w", encoding="utf-8") as fh:
-            fh.write("actual," + ",".join(labels) + ",recall\n")
-            for i, label in enumerate(labels):
-                row = payload["confusion"][i]
-                recall = payload["recall_per_class"][i]
-                fh.write(
-                    f"{label},"
-                    + ",".join(str(int(v)) for v in row)
-                    + f",{recall!r}\n"
-                )
-        written.append(confusion_path)
-        rmse_path = out / f"rmse_{method}.csv"
-        with open(rmse_path, "w", encoding="utf-8") as fh:
-            fh.write("class,rmse_met\n")
-            for i, label in enumerate(labels):
-                value = payload["rmse_per_class"][i]
-                fh.write(f"{label},{'' if value is None else repr(value)}\n")
-            overall = payload["rmse_overall"]
-            fh.write(f"overall,{'' if overall is None else repr(overall)}\n")
-        written.append(rmse_path)
+        confusion = zip(labels, payload["confusion"], payload["recall_per_class"])
+        rmse_rows = zip(labels, payload["rmse_per_class"])
+        tables = {
+            f"confusion_{method}.csv": [["actual", *labels, "recall"], *(
+                [label, *(str(int(v)) for v in row), cell(recall)]
+                for label, row, recall in confusion)],
+            f"rmse_{method}.csv": [["class", "rmse_met"], *(
+                [label, cell(value)] for label, value in rmse_rows),
+                ["overall", cell(payload["rmse_overall"])]],
+        }
+        for name, rows in tables.items():
+            with open(out / name, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
+            written.append(out / name)
     return written

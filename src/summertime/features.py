@@ -107,12 +107,12 @@ def featurize_bout(bout: Bout,
     matrix = window_matrix(segment(bout.signal, window_length))
     targets = bout.targets
     if targets is not None:
-        if len(targets) < len(matrix):
+        if len(targets) != len(matrix):
             raise ValueError(
-                f"bout {bout.bout_id!r}: {len(matrix)} windows but only "
+                f"bout {bout.bout_id!r}: {len(matrix)} windows but "
                 f"{len(targets)} targets"
             )
-        targets = np.asarray(targets, dtype=float)[: len(matrix)]
+        targets = np.asarray(targets, dtype=float)
     return WindowFeatures(
         bout_id=bout.bout_id,
         subject_id=bout.subject_id,

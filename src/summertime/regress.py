@@ -12,9 +12,10 @@ Two estimator families:
 * a linear-head network (see classify.train_mlp) regressing MET directly from
   window features, used by the network-regression method.
 
-Per-bout estimates aggregate window predictions by mean (default, a MET-rate
-reading) or sum (total accumulated load); class-routed estimates are clamped
-at zero after aggregation.
+Both estimate MET per window.  ``bout_met``, the one bout rule, aggregates a
+bout's window estimates by mean (default, a MET-rate reading) or sum (total
+accumulated load), then clamps at zero.  The LOSO harness applies it to every
+method's estimates (``evaluate._run_fold``); so does ``predict_bout_met``.
 """
 
 from __future__ import annotations
@@ -206,12 +207,16 @@ def aggregate(per_window: np.ndarray, how: str) -> float:
     return float(per_window.sum() if how == "sum" else per_window.mean())
 
 
+def bout_met(per_window: np.ndarray, how: str) -> float:
+    """A bout's MET estimate from its window estimates: aggregate, clamp at 0."""
+    return max(aggregate(per_window, how), 0.0)
+
+
 def predict_bout_met(suite: RegressionSuite, predicted_class: str,
                      features: WindowFeatures, ratios: np.ndarray | None,
                      how: str = "mean") -> float:
-    """Bout-level estimate: route to the predicted class, aggregate, clamp at 0."""
-    per_window = predict_windows(suite, predicted_class, features.matrix, ratios)
-    return max(aggregate(per_window, how), 0.0)
+    """Bout-level estimate: route to the predicted class, then ``bout_met``."""
+    return bout_met(predict_windows(suite, predicted_class, features.matrix, ratios), how)
 
 
 # --------------------------------------------------------------------------

@@ -168,8 +168,8 @@ class MixtureModel:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covariances", covs)
-        # Cache z-space Cholesky factors once; scoring happens per window and
-        # is on the hot path of every cross-validation fold.
+        # Cache z-space Cholesky factors once, so that each ``assign`` (one
+        # per summarized corpus, in every fold) only solves against them.
         scale = self.standardizer.std
         z_means = (means - self.standardizer.mean) / scale
         z_covs = covs / np.outer(scale, scale)[None, :, :]
@@ -219,10 +219,13 @@ def component_log_scores(model: MixtureModel, data: np.ndarray) -> np.ndarray:
     return np.log(model.weights)[None, :] + _z_log_component_densities(model, data)
 
 
-def _softmax_rows(log_weights: np.ndarray) -> np.ndarray:
-    """Normalize each row of log weights to probabilities; rows sum to 1."""
-    weights = np.exp(log_weights - log_weights.max(axis=1, keepdims=True))
-    return weights / weights.sum(axis=1, keepdims=True)
+def _softmax_rows(log_weights: np.ndarray, out: np.ndarray | None = None,
+                  row: np.ndarray | None = None) -> np.ndarray:
+    """Normalize each row of log weights to probabilities, into ``out`` if
+    given; ``row`` is an (N, 1) scratch buffer."""
+    row = np.maximum.reduce(log_weights, axis=1, keepdims=True, out=row)
+    out = np.exp(np.subtract(log_weights, row, out=out), out=out)
+    return np.divide(out, np.add.reduce(out, axis=1, keepdims=True, out=row), out=out)
 
 
 def assign(model: MixtureModel, data: np.ndarray) -> np.ndarray:

@@ -380,7 +380,7 @@ def em_runner(train_feats, test_feats, config, seeds, labels):
     """The ``summertime`` chain with the EM mixture in place of the VB fit."""
     mixture = fit_em_mixture(stack_features(train_feats), seeds.mixture)
     fitted = fit_pipeline(train_feats, labels, config, mixture, seeds.classifier)
-    return FoldResult(fitted.predict(test_feats, config.regression.aggregation)[0])
+    return FoldResult(fitted.predict(test_feats)[0])
 
 
 def test_criterion_11_vb_summaries_match_or_beat_maximum_likelihood(overlap_runs,

@@ -95,7 +95,7 @@ def test_fit_writes_the_models_of_the_in_process_pipeline(tmp_path):
     classify.save_model(fitted.classifier, mine / "model_mlp.json")
     regress.save_suite(fitted.suite, mine / "model_regression.json")
     assert read_tree(tmp_path / "cli") == read_tree(mine)
-    predictions, summaries = fitted.predict(feats, config.regression.aggregation)
+    predictions, summaries = fitted.predict(feats)
     assert len(predictions) == len(corpus.bouts)
     assert ([(s.bout_id, s.activity_class, s.window_count, s.ratios.tolist())
              for s in summaries]

@@ -173,6 +173,16 @@ def test_save_load_round_trip(tmp_path):
     assert corpora_equal(corpus, loaded)
 
 
+@pytest.mark.parametrize("targets", [2, 4])
+def test_save_rejects_a_target_count_other_than_the_window_count(tmp_path, targets):
+    bout = Bout("b1", "s1", "Sed", np.ones((40, 1)), targets=np.ones(targets))
+    corpus = Corpus(bouts=(bout,), axis_count=1, label_set=("Sed", "Run"))
+    with pytest.raises(ValueError, match=f"^bout 'b1': 3 windows of 12 samples "
+                                         f"but {targets} targets$"):
+        save_corpus(corpus, tmp_path / "c")
+    assert not (tmp_path / "c").exists()
+
+
 def test_load_accepts_manifest_path_directly(tmp_path):
     corpus = small_corpus()
     save_corpus(corpus, tmp_path / "c")

@@ -1,6 +1,8 @@
 """LOSO harness: oracle stubs, fingerprints, fold isolation, report shape."""
 
+import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,12 +15,14 @@ from summertime.errors import EvaluationError, FitError
 from summertime.evaluate import (
     METHOD_RUNNERS,
     FoldResult,
+    _train_fingerprint,
     compare_methods,
     corpus_fingerprint,
     derive_stage_seeds,
     report_to_dict,
     rmse,
     run_loso,
+    write_report_files,
 )
 from summertime.features import featurize_corpus, stack_features
 from summertime.summarize import summarize_corpus
@@ -36,9 +40,8 @@ def config():
 
 
 def oracle_runner(train, test, config, seeds, labels):
-    """Copies the truth: every bout gets its own class and exact mean MET."""
-    return FoldResult([(feat.activity_class, float(np.mean(feat.targets)))
-                       for feat in test])
+    """Copies the truth: every bout gets its own class and window targets."""
+    return FoldResult([(feat.activity_class, feat.targets) for feat in test])
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +151,13 @@ def test_train_fingerprints_differ_per_fold_and_repeat(corpus, config):
     assert [f.train_fingerprint for f in again.folds] == prints
 
 
+def test_train_fingerprint_frames_each_bout_id(corpus):
+    bout = corpus.bouts[0]
+    joined = [replace(bout, bout_id="a|b")]
+    apart = [replace(bout, bout_id="a"), replace(bout, bout_id="b")]
+    assert _train_fingerprint(joined) != _train_fingerprint(apart)
+
+
 def test_single_subject_corpus_is_rejected(corpus, config):
     solo = Corpus(
         bouts=tuple(b for b in corpus.bouts if b.subject_id == corpus.subject_ids[0]),
@@ -203,6 +213,32 @@ def test_report_dict_is_json_clean_with_none_for_nan(corpus, config):
     assert payload["rmse_overall"] is None
     assert all(v is None for v in payload["rmse_per_class"])
     assert json.loads(text)["method"] == "stub"
+    assert all(o.predicted_met is None for o in report.outcomes)
+
+
+@pytest.mark.parametrize("how", ["mean", "sum"])
+def test_the_harness_clamps_every_bout_met_at_zero(corpus, config, how):
+    def negative(train, test, config, seeds, labels):
+        return FoldResult([(f.activity_class, np.full(f.window_count, -0.5))
+                           for f in test])
+
+    report = run_loso(corpus, "stub", apply_overrides(config, aggregation=how),
+                      runner=negative)
+    assert all(o.predicted_met == 0.0 for o in report.outcomes)
+
+
+def test_report_csvs_keep_a_label_with_a_comma_and_a_quote(tmp_path):
+    labels = ["Walk, fast", 'Run "hard"']
+    payload = {"confusion": [[2, 0], [1, 1]], "recall_per_class": [1.0, 0.5],
+               "rmse_per_class": [0.25, None], "rmse_overall": 0.125}
+    write_report_files({"labels": labels, "methods": {"m": payload}}, tmp_path)
+    with open(tmp_path / "confusion_m.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["actual", *labels, "recall"],
+                                        ["Walk, fast", "2", "0", "1.0"],
+                                        ['Run "hard"', "1", "1", "0.5"]]
+    with open(tmp_path / "rmse_m.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh)) == [["class", "rmse_met"], ["Walk, fast", "0.25"],
+                                        ['Run "hard"', ""], ["overall", "0.125"]]
 
 
 # ---- real pipelines on a small corpus ------------------------------------

@@ -136,7 +136,7 @@ def test_feature_names_align_with_layout():
     assert [n.split("_")[1] for n in names[:6]] == list(STAT_NAMES)
 
 
-def test_featurize_bout_truncates_targets_to_window_count():
+def test_featurize_bout_keeps_one_target_per_window():
     signal = np.arange(40, dtype=float).reshape(40, 1)
     bout = Bout("b1", "s1", "Walk", signal, targets=np.array([2.0, 3.0, 4.0]))
     feats = featurize_bout(bout, 12)
@@ -145,6 +145,20 @@ def test_featurize_bout_truncates_targets_to_window_count():
     # without targets the field stays None
     bare = Bout("b2", "s1", "Walk", signal)
     assert featurize_bout(bare, 12).targets is None
+
+
+@pytest.mark.parametrize("samples, targets", [
+    (40, 2),
+    (40, 4),
+    (120, 12),  # targets built for 10-sample windows
+])
+def test_featurize_bout_rejects_a_target_count_other_than_the_window_count(
+        samples, targets):
+    signal = np.arange(samples, dtype=float).reshape(samples, 1)
+    bout = Bout("b1", "s1", "Walk", signal, targets=np.ones(targets))
+    with pytest.raises(ValueError, match=f"^bout 'b1': {samples // 12} windows "
+                                         f"but {targets} targets$"):
+        featurize_bout(bout, 12)
 
 
 def test_stack_features_concatenates_in_order():

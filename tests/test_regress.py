@@ -11,6 +11,7 @@ from summertime.regress import (
     LinearModel,
     RegressionSuite,
     aggregate,
+    bout_met,
     build_design_rows,
     fit_ols,
     fit_regression_suite,
@@ -194,6 +195,16 @@ def test_bout_estimates_are_clamped_at_zero():
 def test_aggregate_rejects_unknown_mode():
     with pytest.raises(ValueError, match="unknown aggregation"):
         aggregate(np.array([1.0]), "median")
+
+
+def test_bout_met_aggregates_then_clamps_at_zero():
+    windows = np.array([3.0, -1.0, 1.0])
+    assert bout_met(windows, "mean") == 1.0
+    assert bout_met(windows, "sum") == 3.0
+    assert bout_met(-windows, "mean") == 0.0
+    assert bout_met(-windows, "sum") == 0.0
+    with pytest.raises(ValueError, match="unknown aggregation"):
+        bout_met(windows, "median")
 
 
 def test_mean_aggregation_is_sum_over_count():
