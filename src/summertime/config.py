@@ -36,7 +36,7 @@ def _require_seed(seed: int) -> None:
 
 @dataclass(frozen=True)
 class GmmConfig(FitSettings):
-    """The ``gmm`` section: mixture fit settings plus the whole-corpus fit seed."""
+    """The ``gmm`` section: the mixture's fit budget plus the whole-corpus fit seed."""
 
     seed: int = 0
 

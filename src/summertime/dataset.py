@@ -110,6 +110,8 @@ class Corpus:
                 raise ValueError(
                     f"bout {bout.bout_id!r} has unknown label {bout.activity_class!r}"
                 )
+            if not bout.bout_id:
+                raise ValueError(f"a bout of subject {bout.subject_id!r} has an empty bout id")
             if not bout.subject_id:
                 raise ValueError(f"bout {bout.bout_id!r} has an empty subject id")
             if bout.bout_id in seen_ids:
@@ -348,8 +350,9 @@ def load_corpus(path: str | Path,
     if not entries:
         raise CorpusLoadError(f"{manifest}: manifest lists no bouts")
 
-    label_set = tuple(meta.get("label_set", ()))
-    if not label_set:
+    if "label_set" in meta:
+        label_set = tuple(meta["label_set"])
+    else:
         observed = {label for _, _, _, label, _ in entries}
         if observed <= set(DEFAULT_LABELS):
             label_set = tuple(l for l in DEFAULT_LABELS if l in observed)

@@ -104,21 +104,12 @@ def window_matrix(windows: np.ndarray) -> np.ndarray:
 
 def featurize_bout(bout: Bout,
                    window_length: int = DEFAULT_WINDOW_LENGTH) -> WindowFeatures:
-    matrix = window_matrix(segment(bout.signal, window_length))
-    targets = bout.targets
-    if targets is not None:
-        if len(targets) != len(matrix):
-            raise ValueError(
-                f"bout {bout.bout_id!r}: {len(matrix)} windows but "
-                f"{len(targets)} targets"
-            )
-        targets = np.asarray(targets, dtype=float)
     return WindowFeatures(
         bout_id=bout.bout_id,
         subject_id=bout.subject_id,
         activity_class=bout.activity_class,
-        matrix=matrix,
-        targets=targets,
+        matrix=window_matrix(segment(bout.signal, window_length)),
+        targets=bout.targets,
     )
 
 

@@ -8,13 +8,15 @@ below a tenth of one point is empty.  After each E-step every empty
 component leaves the fit, the remaining responsibilities are renormalized,
 and later iterations update, score and bound the live components only; the
 bound has stayed nondecreasing across every prune measured.  The fitted
-model keeps the components of the last posterior that are not empty.  The
-Dirichlet concentration shapes the weights of the components that stay, not
-how many stay: on the default corpus every concentration from 1e-3 to 100
-keeps the same count.
+model keeps the components of the last posterior that are not empty.
 
-Fitting runs in z-scored feature space under a fixed prior: zero mean and
-identity Wishart scale.  Each iteration's posterior is the conjugate update
+Fitting runs in z-scored feature space under one fixed prior: a symmetric
+Dirichlet with concentration ``PRIOR_ALPHA0`` on the weights, and per
+component a Gaussian-Wishart with mean zero, precision scale
+``PRIOR_BETA0``, identity Wishart scale and D + 1 degrees of freedom.  The
+prior is not a setting because the prune, not the prior, decides the count:
+on the default corpus every Dirichlet concentration from 1e-3 to 100 keeps
+the same count.  Each iteration's posterior is the conjugate update
 for the current responsibilities, so the objective needs no expectations: it
 is the bound's closed form at that posterior, normalizer ratios plus the
 entropy of the responsibilities.  The reported model carries posterior
@@ -52,6 +54,12 @@ COVARIANCE_EIGENVALUE_FLOOR = 1e-6
 # Expected count below which a component is empty: a tenth of one point.
 # Empty components leave the fit during CAVI and the fitted model.
 EMPTY_COUNT = 0.1
+
+# The prior's Dirichlet concentration and Gaussian-Wishart precision scale;
+# its mean is zero, its Wishart scale the identity and its degrees of
+# freedom the data's dimension plus one.
+PRIOR_ALPHA0 = 1e-3
+PRIOR_BETA0 = 1.0
 
 
 @dataclass(frozen=True)
@@ -96,38 +104,23 @@ class Standardizer:
 
 @dataclass(frozen=True)
 class FitSettings:
-    """Component budget, stopping rule and prior hyperparameters.
-
-    The prior acts in z-scored space: a symmetric Dirichlet with
-    concentration ``dirichlet_alpha0`` on the weights, and per component a
-    Gaussian-Wishart with mean zero, precision scale ``beta0``, Wishart
-    scale the identity and ``nu0`` degrees of freedom.  The fit starts from
-    ``k_max`` components; dropping each one whose expected count falls below
-    ``EMPTY_COUNT``, not ``dirichlet_alpha0``, decides how many remain.
-    """
+    """The fit budget: the starting component count ``k_max``, and the
+    relative bound change ``tol`` and iteration cap ``max_iter`` that stop
+    CAVI.  The prior is fixed (``PRIOR_ALPHA0``, ``PRIOR_BETA0``)."""
 
     k_max: int = 20
-    dirichlet_alpha0: float = 1e-3
-    beta0: float = 1.0
-    nu0: float | None = None  # None: feature dimension + 1
     tol: float = 1e-6
     max_iter: int = 500
 
     def validate(self) -> None:
         if self.k_max < 1:
             raise FitError("k_max must be positive")
-        if self.dirichlet_alpha0 <= 0:
-            raise FitError("dirichlet_alpha0 must be positive")
-        if self.beta0 <= 0:
-            raise FitError("beta0 must be positive")
         if self.tol <= 0:
             raise FitError("tol must be positive")
         if self.max_iter < 1:
             raise FitError("max_iter must be positive")
-        for name in ("dirichlet_alpha0", "beta0", "nu0", "tol"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise FitError(f"{name} must be finite")
+        if not math.isfinite(self.tol):
+            raise FitError("tol must be finite")
 
 
 @dataclass(frozen=True)
@@ -314,9 +307,8 @@ class _Posterior:
     e_log_det: np.ndarray
 
 
-def _update_posterior(z: np.ndarray, pairs: np.ndarray, resp: np.ndarray,
-                      alpha0: float, beta0: float, nu0: float) -> _Posterior:
-    """Bishop (10.58)-(10.63) under the fixed prior m0 = 0, W0 = I.
+def _update_posterior(z: np.ndarray, pairs: np.ndarray, resp: np.ndarray) -> _Posterior:
+    """Bishop (10.58)-(10.63) under the fixed prior.
 
     ``z`` is z-scored and ``pairs`` is ``_pair_products(z)``.  The scatter
     is formed from raw second moments, which stays accurate because z-scored
@@ -325,7 +317,7 @@ def _update_posterior(z: np.ndarray, pairs: np.ndarray, resp: np.ndarray,
     """
     dim = z.shape[1]
     nk = resp.sum(axis=0)
-    alpha, beta, nu = alpha0 + nk, beta0 + nk, nu0 + nk
+    alpha, beta, nu = PRIOR_ALPHA0 + nk, PRIOR_BETA0 + nk, dim + 1.0 + nk
     xbar = (resp.T @ z) / np.maximum(nk, 1e-300)[:, None]
     outer = xbar[:, :, None] * xbar[:, None, :]
     rows, cols = _upper_triangle(dim)
@@ -334,7 +326,7 @@ def _update_posterior(z: np.ndarray, pairs: np.ndarray, resp: np.ndarray,
     second[:, rows, cols] = moments
     second[:, cols, rows] = moments
     scatter = second - nk[:, None, None] * outer
-    w_inv = np.eye(dim) + scatter + (beta0 * nk / beta)[:, None, None] * outer
+    w_inv = np.eye(dim) + scatter + (PRIOR_BETA0 * nk / beta)[:, None, None] * outer
     chols = np.linalg.cholesky(w_inv)
     inv_chols = np.linalg.inv(chols)
     w = inv_chols.transpose(0, 2, 1) @ inv_chols
@@ -381,9 +373,8 @@ def _log_wishart_b(log_det_w: np.ndarray, nu: np.ndarray, dim: int) -> np.ndarra
             - gammaln((nu[..., None] + 1 - i) / 2.0).sum(axis=-1))
 
 
-def _elbo(resp: np.ndarray, post: _Posterior, alpha0: float, beta0: float,
-          nu0: float) -> float:
-    """Bishop's bound (10.70)-(10.77) under the fixed prior m0 = 0, W0 = I.
+def _elbo(resp: np.ndarray, post: _Posterior) -> float:
+    """Bishop's bound (10.70)-(10.77) under the fixed prior.
 
     ``post`` must be ``_update_posterior`` of this same ``resp``.  At that
     posterior the expected log terms of each prior and its conjugate update
@@ -393,10 +384,11 @@ def _elbo(resp: np.ndarray, post: _Posterior, alpha0: float, beta0: float,
     a fit, and the bound is compared across those prunes.
     """
     k, dim = post.m.shape
-    gauss_wishart = (0.5 * dim * np.log(beta0 / post.beta).sum()
-                     + k * _log_wishart_b(0.0, nu0, dim)
+    gauss_wishart = (0.5 * dim * np.log(PRIOR_BETA0 / post.beta).sum()
+                     + k * _log_wishart_b(0.0, dim + 1.0, dim)
                      - _log_wishart_b(post.log_det_w, post.nu, dim).sum())
-    dirichlet = _log_dirichlet_const(np.full(k, alpha0)) - _log_dirichlet_const(post.alpha)
+    dirichlet = (_log_dirichlet_const(np.full(k, PRIOR_ALPHA0))
+                 - _log_dirichlet_const(post.alpha))
     log_r = np.where(resp > 0, np.log(np.maximum(resp, 1e-300)), 0.0)
     return float(-0.5 * dim * LOG_2PI * post.nk.sum() + gauss_wishart + dirichlet
                  - (resp * log_r).sum())
@@ -428,14 +420,10 @@ def fit_mixture(data: np.ndarray, settings: FitSettings | None = None,
     n, dim = data.shape
     if n < 2:
         raise FitError(f"need at least 2 training points, got {n}")
-    nu0 = float(settings.nu0) if settings.nu0 is not None else dim + 1.0
-    if nu0 < dim:
-        raise FitError(f"degrees of freedom {nu0} below dimension {dim}")
 
     standardizer = Standardizer.fit(data)
     z = standardizer.transform(data)
     k = min(settings.k_max, n)
-    alpha0, beta0 = settings.dirichlet_alpha0, settings.beta0
 
     rng = np.random.default_rng(seed)
     resp = _initial_responsibilities(z, k, rng)
@@ -443,8 +431,8 @@ def fit_mixture(data: np.ndarray, settings: FitSettings | None = None,
 
     elbo_trace: list[float] = []
     for _ in range(settings.max_iter):
-        post = _update_posterior(z, pairs, resp, alpha0, beta0, nu0)
-        elbo = _elbo(resp, post, alpha0, beta0, nu0)
+        post = _update_posterior(z, pairs, resp)
+        elbo = _elbo(resp, post)
         if not math.isfinite(elbo):
             raise FitError("objective became non-finite during fitting")
         previous = elbo_trace[-1] if elbo_trace else None

@@ -46,6 +46,9 @@ def test_unknown_keys_are_named():
         config_from_dict({"gmm": {"weight_floor": 0.1}})
     with pytest.raises(ConfigError, match="unknown config key regression.mode"):
         config_from_dict({"regression": {"mode": "augmented"}})
+    for key in ("dirichlet_alpha0", "beta0", "nu0"):
+        with pytest.raises(ConfigError, match=f"unknown config key gmm.{key}"):
+            config_from_dict({"gmm": {key: 1.0}})
 
 
 # Every section of PipelineConfig with one key, a valid non-default value and
@@ -103,7 +106,6 @@ def test_value_validation_messages():
         ({"mlp": {"epochs": "500"}}, "mlp.epochs must be an integer"),
         ({"gmm": {"k_max": True}}, "gmm.k_max must be an integer"),
         ({"gmm": {"k_max": 2.5}}, "gmm.k_max must be an integer"),
-        ({"gmm": {"nu0": "x"}}, "gmm.nu0 must be a number or null"),
         ({"gmm": {"tol": False}}, "gmm.tol must be a number"),
         ({"synthetic": {"subjects": None}}, "synthetic.subjects must be an integer"),
         ({"io": {"out": 5}}, "io.out must be a string"),
@@ -119,8 +121,6 @@ def test_value_validation_messages():
         ({"mlp": {"learning_rate": -1}}, "mlp.learning_rate must be positive"),
         ({"mlp": {"l2_penalty": -1}}, "mlp.l2_penalty must be nonnegative"),
         ({"gmm": {"tol": float("nan")}}, "gmm.tol must be finite"),
-        ({"gmm": {"beta0": float("inf")}}, "gmm.beta0 must be finite"),
-        ({"gmm": {"nu0": float("inf")}}, "gmm.nu0 must be finite"),
         ({"mlp": {"learning_rate": float("nan")}}, "mlp.learning_rate must be finite"),
         ({"mlp": {"l2_penalty": float("inf")}}, "mlp.l2_penalty must be finite"),
         ({"synthetic": {"subjects": 0}}, "synthetic.subjects must be positive"),
@@ -134,18 +134,18 @@ def test_value_validation_messages():
             config_from_dict(payload)
         assert str(info.value) == message
     # Numbers where a float is due, and null where None is allowed, pass.
-    config = config_from_dict({"gmm": {"tol": 1, "nu0": None}})
-    assert config.gmm.tol == 1 and config.gmm.nu0 is None
+    config = config_from_dict({"gmm": {"tol": 1}, "io": {"corpus": None}})
+    assert config.gmm.tol == 1 and config.io.corpus is None
     config = config_from_dict({"gmm": {"seed": 0}, "mlp": {"seed": 0}, "synthetic": {"seed": 0}})
     assert (config.gmm.seed, config.mlp.seed, config.synthetic.seed) == (0, 0, 0)
 
 
 def test_integer_in_a_float_field_has_the_float_fingerprint():
-    whole = config_from_dict({"gmm": {"beta0": 1}, "mlp": {"learning_rate": 1}})
-    point = config_from_dict({"gmm": {"beta0": 1.0}, "mlp": {"learning_rate": 1.0}})
+    whole = config_from_dict({"gmm": {"tol": 1}, "mlp": {"learning_rate": 1}})
+    point = config_from_dict({"gmm": {"tol": 1.0}, "mlp": {"learning_rate": 1.0}})
     assert whole == point
     assert whole.fingerprint() == point.fingerprint()
-    assert type(whole.gmm.beta0) is float and type(whole.mlp.learning_rate) is float
+    assert type(whole.gmm.tol) is float and type(whole.mlp.learning_rate) is float
 
 
 def test_method_registry_names():
@@ -236,12 +236,11 @@ def test_semantic_dict_drops_execution_keys():
 def test_default_config_is_pinned():
     config = PipelineConfig()
     assert config.fingerprint() == (
-        "db875ac858c927045e3c954fb1397b8feb0cffa910529f6bdd6e32598624c6af"
+        "25f932ec25113dd6393e0274efca4049c44189cb23792a62e441a08e59a5bf77"
     )
     assert {name: sorted(section) for name, section in config.to_dict().items()
             if isinstance(section, dict)} == {
-        "gmm": ["beta0", "dirichlet_alpha0", "k_max", "max_iter", "nu0", "seed",
-                "tol"],
+        "gmm": ["k_max", "max_iter", "seed", "tol"],
         "mlp": ["batch_size", "epochs", "hidden_units", "l2_penalty",
                 "learning_rate", "seed"],
         "regression": ["aggregation"],

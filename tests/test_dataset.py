@@ -1,5 +1,6 @@
 """Corpus model, disk round trip, loader diagnostics, LOSO folds, generator."""
 
+import json
 from collections import Counter
 from dataclasses import replace
 
@@ -270,6 +271,26 @@ def test_load_rejects_unknown_label(tmp_path):
     lines[1] = ",".join(cells)
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorpusLoadError, match="unknown label 'Skip'"):
+        load_corpus(tmp_path / "c", window_length=12)
+
+
+def test_load_rejects_an_empty_bout_id(tmp_path):
+    save_corpus(small_corpus(), tmp_path / "c")
+    manifest = tmp_path / "c" / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    lines[1] = "," + lines[1].split(",", 1)[1]
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusLoadError) as info:
+        load_corpus(tmp_path / "c", window_length=12)
+    assert str(info.value) == f"{manifest}: a bout of subject 's1' has an empty bout id"
+
+
+def test_load_uses_an_empty_label_set_as_given(tmp_path):
+    """An empty label set is not taken as absent: the manifest's labels are
+    checked against it, as against any set that misses them."""
+    save_corpus(small_corpus(), tmp_path / "c")
+    (tmp_path / "c" / "provenance.json").write_text(json.dumps({"label_set": []}))
+    with pytest.raises(CorpusLoadError, match=r"manifest\.csv:2: unknown label 'Sed'"):
         load_corpus(tmp_path / "c", window_length=12)
 
 
