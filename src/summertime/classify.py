@@ -15,20 +15,22 @@ that layout; the four blocks are reshaped views into them.  The decay is one
 product over the ``[w1, w2]`` prefix and the descent step is one product and
 one in-place subtraction over the whole vector.
 
-One backprop routine (``_forward``, ``_output_delta``, ``_gradients``) serves
-both the SGD step in ``train_mlp`` and ``loss_and_gradients``, which is
-exposed so gradients can be checked against finite differences.  Each routine
-writes into output buffers when given them: ``train_mlp`` allocates one set
-per batch size (the full batch and the remainder), so a step allocates
-nothing, while ``loss_and_gradients`` gets fresh arrays.  Each element sees
-the same float operations in the same order either way, so the in-place step
-reproduces plain descent on ``loss_and_gradients`` bit for bit.  The step
-computes no loss.  Each batch's forward pass writes its logits into that
-batch's rows of one epoch-long buffer, and the epoch's ``training_log``
-entry is the mean data loss of that buffer: every example scored at the
-parameters its batch stepped from, with no second pass over the training
-set.  After each epoch, a non-finite loss or parameter stops the fit as
-diverged.
+One backprop routine, ``_backprop``, serves both the SGD step in
+``train_mlp`` and ``loss_and_gradients``, which is exposed so gradients can be
+checked against finite differences.  It runs the forward pass, the output
+delta and the flat gradient with L2 over a ``_Batch``: the batch's input and
+target views, their transposes and every buffer the pass writes.
+``train_mlp`` builds its batches once per fit, as row views into fit-long
+buffers that each epoch's shuffle is copied into, so a step slices,
+transposes and allocates nothing; ``loss_and_gradients`` builds one batch of
+fresh buffers.  Each element sees the same float operations in the same order
+either way, so the in-place step reproduces plain descent bit for bit.  The
+step computes no loss.  Each batch leaves its head outputs (softmax
+probabilities or linear values) in its rows of one fit-long buffer, and the
+epoch's ``training_log`` entry is the mean data loss of that buffer: every
+example scored at the parameters its batch stepped from, with no second pass
+over the training set.  After each epoch, a non-finite loss or parameter
+stops the fit as diverged.  Prediction runs its own plain forward pass.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FitError, load_payload, reading_payload, require_finite, save_payload
+from .errors import (FitError, load_payload, reading_payload, require_count,
+                     require_finite, save_payload)
 from .vbgmm import Standardizer, _softmax_rows
 
 
@@ -53,14 +56,10 @@ class MlpSettings:
     l2_penalty: float = 1e-4
 
     def validate(self) -> None:
-        if self.hidden_units < 1:
-            raise FitError("hidden_units must be positive")
+        for name in ("hidden_units", "epochs", "batch_size"):
+            require_count(name, getattr(self, name))
         if self.learning_rate <= 0:
             raise FitError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise FitError("epochs must be positive")
-        if self.batch_size < 1:
-            raise FitError("batch_size must be positive")
         if self.l2_penalty < 0:
             raise FitError("l2_penalty must be nonnegative")
         for name in ("learning_rate", "l2_penalty"):
@@ -148,7 +147,8 @@ _PARAM_KEYS = ("w1", "b1", "w2", "b2")
 class _Flat:
     """One flat vector laid out ``[w1, w2, b1, b2]``, each block a reshaped view.
 
-    ``weights`` is the ``[w1, w2]`` prefix, the part the L2 penalty decays.
+    ``weights`` is the ``[w1, w2]`` prefix, the part the L2 penalty decays,
+    and ``w2_t`` is a transposed view of ``w2`` for backprop.
     The network's parameters and their gradients share this layout, so a
     descent step and the weight decay are each one vector operation.
     """
@@ -160,6 +160,7 @@ class _Flat:
         self.weights = self.vector[:n2]
         self.w1 = self.vector[:n1].reshape(input_dim, hidden)
         self.w2 = self.vector[n1:n2].reshape(hidden, output_dim)
+        self.w2_t = self.w2.T
         self.b1 = self.vector[n2 : n2 + hidden]
         self.b2 = self.vector[n2 + hidden :]
 
@@ -175,62 +176,76 @@ class _Flat:
 
 
 def _forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
-             b2: np.ndarray, hidden: np.ndarray | None = None,
-             output: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """tanh hidden layer and output logits, written into the buffers if given."""
-    hidden = np.matmul(x, w1, out=hidden)
-    np.add(hidden, b1, out=hidden)
-    np.tanh(hidden, out=hidden)
-    output = np.matmul(hidden, w2, out=output)
-    np.add(output, b2, out=output)
-    return hidden, output
+             b2: np.ndarray) -> np.ndarray:
+    """Output logits of the tanh network, for prediction."""
+    return np.tanh(x @ w1 + b1) @ w2 + b2
 
 
 def _data_loss(output: np.ndarray, y: np.ndarray, head: str) -> float:
-    """Mean per-example data loss of the outputs ``output`` against ``y``."""
+    """Mean per-example data loss of the head's ``output`` against ``y``:
+    cross-entropy of softmax probabilities, or half the squared error of the
+    linear outputs."""
     if head == "softmax":
-        probs = _softmax_rows(output)
-        return float(-np.add.reduce(y * np.log(np.maximum(probs, 1e-300)), axis=None)
+        return float(-np.add.reduce(y * np.log(np.maximum(output, 1e-300)), axis=None)
                      / len(y))
     return float(0.5 * np.add.reduce((output - y) ** 2, axis=None) / len(y))
 
 
-def _output_delta(output: np.ndarray, y: np.ndarray, head: str,
-                  out: np.ndarray | None = None,
-                  row: np.ndarray | None = None) -> np.ndarray:
-    """Gradient of the mean data loss with respect to the network outputs.
+class _Batch:
+    """One batch's inputs and targets, and every buffer its backprop writes.
 
-    Written into ``out`` if given; ``row`` is the softmax's (N, 1) scratch
-    buffer.
+    ``x``, ``y`` and ``output`` may be row views into longer arrays; the
+    transposes and the row count are taken once, so that a backprop pass
+    slices, transposes and allocates nothing.  ``decay`` is shaped like the
+    weight prefix of the parameters and may be shared between batches.
     """
+
+    __slots__ = ("x", "x_t", "y", "output", "hidden", "hidden_t", "delta",
+                 "delta_hidden", "row", "rows", "decay")
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, output: np.ndarray,
+                 hidden_units: int, decay: np.ndarray):
+        self.x, self.x_t, self.y, self.output = x, x.T, y, output
+        self.hidden = np.empty((len(x), hidden_units))
+        self.hidden_t = self.hidden.T
+        self.delta = np.empty_like(output)
+        self.delta_hidden = np.empty_like(self.hidden)
+        self.row = np.empty((len(x), 1))
+        self.rows = float(len(x))
+        self.decay = decay
+
+
+def _backprop(batch: _Batch, params: _Flat, grads: _Flat, head: str,
+              l2_penalty: float) -> None:
+    """Forward pass, output delta and flat gradient with L2 of one batch.
+
+    Leaves the head's output in ``batch.output``: softmax probabilities or
+    linear values, from which ``_data_loss`` reads the batch's loss.
+    The 2-d products use ``ndarray.dot``, which dispatches faster than
+    ``np.matmul`` at these sizes and gives the same bits; the
+    reference-descent test, which multiplies with ``@``, holds it to that.
+    """
+    hidden, output, delta, delta_hidden = (batch.hidden, batch.output, batch.delta,
+                                           batch.delta_hidden)
+    batch.x.dot(params.w1, hidden)
+    np.add(hidden, params.b1, out=hidden)
+    np.tanh(hidden, out=hidden)
+    hidden.dot(params.w2, output)
+    np.add(output, params.b2, out=output)
     if head == "softmax":
-        output = _softmax_rows(output, out, row)
-    delta = np.subtract(output, y, out=out)
-    return np.divide(delta, len(y), out=delta)
-
-
-def _gradients(x: np.ndarray, hidden: np.ndarray, delta_out: np.ndarray,
-               params: _Flat, l2_penalty: float, grads: _Flat | None = None,
-               delta_hidden: np.ndarray | None = None,
-               decay: np.ndarray | None = None) -> _Flat:
-    """Backpropagate an output delta into the flat gradient of ``params``.
-
-    ``hidden`` is overwritten with 1 - hidden**2.  ``grads``, ``delta_hidden``
-    (shaped like ``hidden``) and ``decay`` (shaped like ``params.weights``)
-    are output buffers, allocated when not given.
-    """
-    grads = params.empty_like() if grads is None else grads
-    np.matmul(hidden.T, delta_out, out=grads.w2)
-    np.add.reduce(delta_out, axis=0, out=grads.b2)
-    delta_hidden = np.matmul(delta_out, params.w2.T, out=delta_hidden)
+        _softmax_rows(output, output, batch.row)
+    np.subtract(output, batch.y, out=delta)
+    np.divide(delta, batch.rows, out=delta)
+    batch.hidden_t.dot(delta, grads.w2)
+    np.add.reduce(delta, axis=0, out=grads.b2)
+    delta.dot(params.w2_t, delta_hidden)
     np.multiply(hidden, hidden, out=hidden)
     np.subtract(1.0, hidden, out=hidden)
     np.multiply(delta_hidden, hidden, out=delta_hidden)
-    np.matmul(x.T, delta_hidden, out=grads.w1)
+    batch.x_t.dot(delta_hidden, grads.w1)
     np.add.reduce(delta_hidden, axis=0, out=grads.b1)
-    decay = np.multiply(l2_penalty, params.weights, out=decay)
-    np.add(grads.weights, decay, out=grads.weights)
-    return grads
+    np.multiply(l2_penalty, params.weights, out=batch.decay)
+    np.add(grads.weights, batch.decay, out=grads.weights)
 
 
 def loss_and_gradients(params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarray,
@@ -241,14 +256,16 @@ def loss_and_gradients(params: dict[str, np.ndarray], x: np.ndarray, y: np.ndarr
     cross-entropy; for the linear head ``y`` is (N, 1) and the data term is
     0.5 * mean squared error.  The penalty 0.5 * l2 * (|w1|^2 + |w2|^2) is
     added in both cases.  The gradients come from the routine that
-    ``train_mlp`` steps with, here writing into fresh arrays.
+    ``train_mlp`` steps with, here over fresh buffers.
     """
     flat = _Flat.pack(params)
-    hidden, output = _forward(x, flat.w1, flat.b1, flat.w2, flat.b2)
-    loss = _data_loss(output, y, head) + 0.5 * l2_penalty * (
+    grads = flat.empty_like()
+    batch = _Batch(x, y, np.empty_like(y, dtype=float), flat.w1.shape[1],
+                   np.empty_like(flat.weights))
+    _backprop(batch, flat, grads, head, l2_penalty)
+    loss = _data_loss(batch.output, y, head) + 0.5 * l2_penalty * (
         float(np.sum(flat.w1 ** 2)) + float(np.sum(flat.w2 ** 2))
     )
-    grads = _gradients(x, hidden, _output_delta(output, y, head), flat, l2_penalty)
     return loss, {key: getattr(grads, key) for key in _PARAM_KEYS}
 
 
@@ -292,6 +309,9 @@ def train_mlp(inputs: np.ndarray, targets: Sequence[str] | np.ndarray,
     if class_labels is not None:
         head = "softmax"
         class_labels = tuple(class_labels)
+        if len(class_labels) < 2:
+            raise FitError(f"a classifier needs at least 2 class labels, "
+                           f"got {len(class_labels)}")
         repeated = _repeated_label(class_labels)
         if repeated is not None:
             raise FitError(f"class label {repeated!r} is repeated")
@@ -323,45 +343,34 @@ def train_mlp(inputs: np.ndarray, targets: Sequence[str] | np.ndarray,
     rng = np.random.default_rng(seed)
     params = _Flat.pack(_init_params(inputs.shape[1], settings.hidden_units,
                                      output_dim, rng))
-    w1, b1, w2, b2 = (getattr(params, key) for key in _PARAM_KEYS)
     n = len(inputs)
     lr, l2, size = settings.learning_rate, settings.l2_penalty, settings.batch_size
-    # A step allocates nothing: every batch of one size (the full one and the
-    # remainder) reuses that size's forward and backward buffers.
     grads, step = params.empty_like(), np.empty_like(params.vector)
+    # Each epoch's shuffle is copied into xs and ys, which the batches view;
+    # each batch leaves its head outputs in its own rows of ``output``, from
+    # which the epoch's loss is read.
+    xs, ys, output = np.empty(inputs.shape), np.empty(y.shape), np.empty(y.shape)
     decay = np.empty_like(params.weights)
-    # Each batch writes its logits into its own rows of this epoch-long
-    # buffer, from which the epoch's loss is read.
-    logits = np.empty((n, output_dim))
-    buffers = {}
-    batches = []
-    for start in range(0, n, size):
-        rows = min(size, n - start)
-        if rows not in buffers:
-            buffers[rows] = (np.empty((rows, settings.hidden_units)),
-                             np.empty((rows, output_dim)), np.empty((rows, 1)),
-                             np.empty((rows, settings.hidden_units)))
-        batches.append((start, start + rows, logits[start : start + rows],
-                        *buffers[rows]))
+    batches = [_Batch(xs[start : start + size], ys[start : start + size],
+                      output[start : start + size], settings.hidden_units, decay)
+               for start in range(0, n, size)]
     training_log = []
     for _ in range(settings.epochs):
         order = rng.permutation(n)
-        xs, ys = inputs[order], y[order]
-        for start, stop, batch_logits, hidden, delta, row, delta_hidden in batches:
-            x = xs[start:stop]
-            _forward(x, w1, b1, w2, b2, hidden, batch_logits)
-            _output_delta(batch_logits, ys[start:stop], head, delta, row)
-            _gradients(x, hidden, delta, params, l2, grads, delta_hidden, decay)
+        np.take(inputs, order, axis=0, out=xs)
+        np.take(y, order, axis=0, out=ys)
+        for batch in batches:
+            _backprop(batch, params, grads, head, l2)
             np.multiply(lr, grads.vector, out=step)
             params.vector -= step
-        epoch_loss = _data_loss(logits, ys, head)
+        epoch_loss = _data_loss(output, ys, head)
         if not (math.isfinite(epoch_loss) and np.isfinite(params.vector).all()):
             raise FitError("training diverged (non-finite loss or parameters); "
                            "try a smaller learning rate")
         training_log.append(epoch_loss)
 
     return MlpModel(
-        w1=w1, b1=b1, w2=w2, b2=b2,
+        w1=params.w1, b1=params.b1, w2=params.w2, b2=params.b2,
         head=head, class_labels=class_labels, input_standardizer=standardizer,
         training_log=tuple(training_log), seed=seed,
     )
@@ -386,8 +395,8 @@ def predict_probabilities(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     """(N, C) class probabilities; softmax head only."""
     if model.head != "softmax":
         raise ValueError("probabilities are only defined for the softmax head")
-    _, output = _forward(_prepare(model, inputs), model.w1, model.b1, model.w2, model.b2)
-    return _softmax_rows(output)
+    return _softmax_rows(_forward(_prepare(model, inputs), model.w1, model.b1,
+                                  model.w2, model.b2))
 
 
 def predict_class(model: MlpModel, inputs: np.ndarray) -> ClassPrediction:
@@ -406,8 +415,7 @@ def predict_values(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     """(N,) scalar outputs; linear head only."""
     if model.head != "linear":
         raise ValueError("scalar outputs are only defined for the linear head")
-    _, output = _forward(_prepare(model, inputs), model.w1, model.b1, model.w2, model.b2)
-    return output[:, 0]
+    return _forward(_prepare(model, inputs), model.w1, model.b1, model.w2, model.b2)[:, 0]
 
 
 def classify_bout_voting(model: MlpModel, window_matrix: np.ndarray) -> ClassPrediction:

@@ -1,9 +1,10 @@
 """Exception types shared across the package, and the model-file reading,
-writing and finite-value check that every fitted stage shares."""
+writing, finite-value and count checks that every fitted stage shares."""
 
 from __future__ import annotations
 
 import json
+import numbers
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Iterator, TypeVar
@@ -68,6 +69,15 @@ def require_finite(fields: dict[str, Any]) -> None:
     for name, value in fields.items():
         if not np.all(np.isfinite(value)):
             raise ValueError(f"{name} must be finite")
+
+
+def require_count(name: str, value: Any) -> None:
+    """Raise FitError naming the setting ``name`` unless ``value`` is a
+    positive integer; a bool or a float is not an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise FitError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise FitError(f"{name} must be positive")
 
 
 def save_payload(payload: dict, path: str | Path) -> None:

@@ -43,7 +43,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import digamma, gammaln, logsumexp
 
 from .errors import (ConsistencyError, FitError, load_payload, reading_payload,
-                     require_finite, save_payload)
+                     require_count, require_finite, save_payload)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -113,12 +113,10 @@ class FitSettings:
     max_iter: int = 500
 
     def validate(self) -> None:
-        if self.k_max < 1:
-            raise FitError("k_max must be positive")
+        for name in ("k_max", "max_iter"):
+            require_count(name, getattr(self, name))
         if self.tol <= 0:
             raise FitError("tol must be positive")
-        if self.max_iter < 1:
-            raise FitError("max_iter must be positive")
         if not math.isfinite(self.tol):
             raise FitError("tol must be finite")
 

@@ -91,25 +91,36 @@ def reference_data_loss(logits, y, head):
 
 
 def reference_sgd(x, y, head, settings, seed):
-    """Plain minibatch descent on the objective, one loss_and_gradients per
-    batch: what train_mlp must reproduce bit for bit.
+    """Plain minibatch descent on the objective, with the backprop written out
+    in numpy expressions: what train_mlp must reproduce bit for bit.
 
+    Each float operation comes in the order train_mlp's step makes it, and
+    nothing here calls into summertime.classify beyond the initialization.
     An epoch's log entry is the data loss of every batch's logits at the
     parameters that batch stepped from, stacked in the epoch's shuffled order.
     """
     rng = np.random.default_rng(seed)
     params = _init_params(x.shape[1], settings.hidden_units, y.shape[1], rng)
+    lr, l2 = settings.learning_rate, settings.l2_penalty
     log = []
     for _ in range(settings.epochs):
         order = rng.permutation(len(x))
         logits = []
         for start in range(0, len(x), settings.batch_size):
             batch = order[start : start + settings.batch_size]
-            hidden = np.tanh(x[batch] @ params["w1"] + params["b1"])
-            logits.append(hidden @ params["w2"] + params["b2"])
-            _, grads = loss_and_gradients(params, x[batch], y[batch], head,
-                                          settings.l2_penalty)
-            params = {k: p - settings.learning_rate * grads[k] for k, p in params.items()}
+            xb, yb = x[batch], y[batch]
+            w1, b1, w2, b2 = (params[k] for k in ("w1", "b1", "w2", "b2"))
+            h = np.tanh(xb @ w1 + b1)
+            out = h @ w2 + b2
+            logits.append(out)
+            if head == "softmax":
+                shifted = np.exp(out - out.max(axis=1, keepdims=True))
+                out = shifted / shifted.sum(axis=1, keepdims=True)
+            d = (out - yb) / len(xb)
+            dh = d @ w2.T * (1 - h * h)
+            grads = {"w2": h.T @ d + l2 * w2, "b2": d.sum(axis=0),
+                     "w1": xb.T @ dh + l2 * w1, "b1": dh.sum(axis=0)}
+            params = {k: p - lr * grads[k] for k, p in params.items()}
         log.append(reference_data_loss(np.vstack(logits), y[order], head))
     return params, tuple(log)
 
@@ -293,6 +304,25 @@ def test_missing_class_is_an_error():
     x = np.zeros((4, 2))
     with pytest.raises(FitError, match="no training examples"):
         train_mlp(x, ["a", "a", "a", "a"], class_labels=("a", "b"))
+
+
+@pytest.mark.parametrize("labels", [("a",), ()])
+def test_a_classifier_needs_two_class_labels(labels):
+    # refused before training, not after 500 epochs by the model's own check
+    with pytest.raises(FitError, match=f"^a classifier needs at least 2 class labels, "
+                                       f"got {len(labels)}$"):
+        train_mlp(np.zeros((4, 2)), ["a"] * 4, class_labels=labels)
+
+
+@pytest.mark.parametrize("field, value", [("batch_size", 2.5), ("epochs", 2.5),
+                                          ("hidden_units", True), ("epochs", 3.0)])
+def test_settings_counts_must_be_integers(field, value):
+    settings = replace(MlpSettings(), **{field: value})
+    with pytest.raises(FitError, match=f"^{field} must be an integer"):
+        settings.validate()
+    with pytest.raises(FitError, match=f"^{field} must be an integer"):
+        train_mlp(np.zeros((4, 2)), ["a", "b"] * 2, class_labels=("a", "b"),
+                  settings=settings)
 
 
 @pytest.mark.parametrize("labels", [("a", "b"), None])

@@ -161,6 +161,16 @@ def test_fit_rejects_bad_inputs():
             fit_mixture(data, settings)
 
 
+@pytest.mark.parametrize("field, value", [("k_max", 3.5), ("max_iter", 3.5),
+                                          ("k_max", True), ("max_iter", 10.0)])
+def test_settings_counts_must_be_integers(field, value):
+    settings = FitSettings(**{field: value})
+    with pytest.raises(FitError, match=f"^{field} must be an integer"):
+        settings.validate()
+    with pytest.raises(FitError, match=f"^{field} must be an integer"):
+        fit_mixture(three_blob_data(np.random.default_rng(0), per_cluster=10), settings)
+
+
 def bishop_posterior_and_elbo(z, resp, alpha0, beta0, nu0):
     """PRML (10.58)-(10.63) with explicit inverses, and the bound as the sum of
     (10.71)-(10.77) with every data term taken per point.  The prior mean is
