@@ -8,12 +8,13 @@ The same network core serves two jobs:
 * a linear head with squared-error loss for direct energy-expenditure
   regression from window features.
 
-Everything is explicit numpy: forward pass, backprop, L2 penalty on the two
-weight matrices (biases are not decayed).  The parameters live in one flat
-vector laid out ``[w1, w2, b1, b2]`` and the gradients in a second vector of
-that layout; the four blocks are reshaped views into them.  The decay is one
-product over the ``[w1, w2]`` prefix and the descent step is one product and
-one in-place subtraction over the whole vector.
+Everything is explicit numpy: forward pass, backprop, and ``train_mlp``'s
+fixed L2 penalty ``L2_PENALTY`` on the two weight matrices of its
+``HIDDEN_UNITS``-wide tanh layer (biases are not decayed).  The parameters
+live in one flat vector laid out ``[w1, w2, b1, b2]`` and the gradients in a
+second vector of that layout; the four blocks are reshaped views into them.
+The decay is one product over the ``[w1, w2]`` prefix and the descent step is
+one product and one in-place subtraction over the whole vector.
 
 One backprop routine, ``_backprop``, serves both the SGD step in
 ``train_mlp`` and ``loss_and_gradients``, which is exposed so gradients can be
@@ -46,25 +47,27 @@ from .errors import (FitError, load_payload, reading_payload, require_count,
                      require_finite, save_payload)
 from .vbgmm import Standardizer, _softmax_rows
 
+# train_mlp's hidden width and weight decay.  The summaries feed one fixed
+# classifier, so no caller tunes them; a model file of any width still loads.
+HIDDEN_UNITS = 25
+L2_PENALTY = 1e-4
+
 
 @dataclass(frozen=True)
 class MlpSettings:
-    hidden_units: int = 25
+    """The optimizer: step size, epoch count and minibatch size of SGD."""
+
     learning_rate: float = 0.01
     epochs: int = 500
     batch_size: int = 32
-    l2_penalty: float = 1e-4
 
     def validate(self) -> None:
-        for name in ("hidden_units", "epochs", "batch_size"):
+        for name in ("epochs", "batch_size"):
             require_count(name, getattr(self, name))
         if self.learning_rate <= 0:
             raise FitError("learning_rate must be positive")
-        if self.l2_penalty < 0:
-            raise FitError("l2_penalty must be nonnegative")
-        for name in ("learning_rate", "l2_penalty"):
-            if not math.isfinite(getattr(self, name)):
-                raise FitError(f"{name} must be finite")
+        if not math.isfinite(self.learning_rate):
+            raise FitError("learning_rate must be finite")
 
 
 def _repeated_label(labels: Sequence[str]) -> str | None:
@@ -341,10 +344,9 @@ def train_mlp(inputs: np.ndarray, targets: Sequence[str] | np.ndarray,
         output_dim = 1
 
     rng = np.random.default_rng(seed)
-    params = _Flat.pack(_init_params(inputs.shape[1], settings.hidden_units,
-                                     output_dim, rng))
+    params = _Flat.pack(_init_params(inputs.shape[1], HIDDEN_UNITS, output_dim, rng))
     n = len(inputs)
-    lr, l2, size = settings.learning_rate, settings.l2_penalty, settings.batch_size
+    lr, size = settings.learning_rate, settings.batch_size
     grads, step = params.empty_like(), np.empty_like(params.vector)
     # Each epoch's shuffle is copied into xs and ys, which the batches view;
     # each batch leaves its head outputs in its own rows of ``output``, from
@@ -352,7 +354,7 @@ def train_mlp(inputs: np.ndarray, targets: Sequence[str] | np.ndarray,
     xs, ys, output = np.empty(inputs.shape), np.empty(y.shape), np.empty(y.shape)
     decay = np.empty_like(params.weights)
     batches = [_Batch(xs[start : start + size], ys[start : start + size],
-                      output[start : start + size], settings.hidden_units, decay)
+                      output[start : start + size], HIDDEN_UNITS, decay)
                for start in range(0, n, size)]
     training_log = []
     for _ in range(settings.epochs):
@@ -360,7 +362,7 @@ def train_mlp(inputs: np.ndarray, targets: Sequence[str] | np.ndarray,
         np.take(inputs, order, axis=0, out=xs)
         np.take(y, order, axis=0, out=ys)
         for batch in batches:
-            _backprop(batch, params, grads, head, l2)
+            _backprop(batch, params, grads, head, L2_PENALTY)
             np.multiply(lr, grads.vector, out=step)
             params.vector -= step
         epoch_loss = _data_loss(output, ys, head)

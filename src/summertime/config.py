@@ -47,7 +47,7 @@ class GmmConfig(FitSettings):
 
 @dataclass(frozen=True)
 class MlpConfig(MlpSettings):
-    """The ``mlp`` section: network settings plus the whole-corpus fit seed."""
+    """The ``mlp`` section: the optimizer settings plus the whole-corpus fit seed."""
 
     seed: int = 0
 
@@ -109,6 +109,8 @@ class IoConfig:
     def validate(self) -> None:
         if not self.out:
             raise ConfigError("out must be a nonempty path")
+        if self.corpus == "":
+            raise ConfigError("corpus must be a nonempty path or null")
 
 
 @dataclass(frozen=True)

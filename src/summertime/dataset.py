@@ -262,22 +262,15 @@ def _extract_window_targets(met_cells: list[str], window_length: int,
     window_count = len(met_cells) // window_length
     targets = np.empty(window_count)
     for w in range(window_count):
-        block = met_cells[w * window_length : (w + 1) * window_length]
-        values = set()
-        for offset, cell in enumerate(block):
-            if cell:
-                where = f"{path}:{w * window_length + offset + 2}"
-                values.add(_parse_float(cell, where))
-        first_line = w * window_length + 2
+        start = w * window_length  # file line start + 2 is the window's first row
+        block = met_cells[start : start + window_length]
+        values = {_parse_float(cell, f"{path}:{start + offset + 2}")
+                  for offset, cell in enumerate(block) if cell}
         if not values:
-            raise CorpusLoadError(
-                f"{path}:{first_line}: window {w} has no met value"
-            )
+            raise CorpusLoadError(f"{path}:{start + 2}: window {w} has no met value")
         if len(values) > 1:
-            raise CorpusLoadError(
-                f"{path}:{first_line}: window {w} has conflicting met values "
-                f"{sorted(values)}"
-            )
+            raise CorpusLoadError(f"{path}:{start + 2}: window {w} has conflicting "
+                                  f"met values {sorted(values)}")
         targets[w] = values.pop()
     return targets
 

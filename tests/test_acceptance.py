@@ -21,9 +21,9 @@ from summertime.features import (PERCENTILE_FRACTIONS, percentile_rank, stack_fe
                                  window_matrix)
 from summertime.reference import reference_panel
 from summertime.summarize import summarize_bout
-from summertime.vbgmm import (EMPTY_COUNT, FitSettings, MixtureModel, Standardizer,
-                              _initial_responsibilities, _softmax_rows, assign,
-                              component_log_scores, fit_mixture)
+from summertime.vbgmm import (CONVERGENCE_TOL, EMPTY_COUNT, FitSettings, MixtureModel,
+                              Standardizer, _initial_responsibilities, _softmax_rows,
+                              assign, component_log_scores, fit_mixture)
 
 
 def verdict(number, ok, detail):
@@ -340,14 +340,13 @@ def test_criterion_10_summaries_beat_voting_on_overlapping_classes(overlap_runs)
 def fit_em_mixture(data, seed):
     """Reference maximum-likelihood EM for a full-covariance Gaussian mixture
     (PRML section 9.2), the baseline of the variational fit, on the same
-    budget: ``FitSettings``' defaults for ``k_max`` (20), ``tol`` and
-    ``max_iter``.
+    budget: ``FitSettings``' defaults for ``k_max`` (20) and ``max_iter``.
 
     It runs in z-scored space from ``fit_mixture``'s one-hot k-means++
     start, adds 1e-6 to each covariance diagonal, stops when the mean
-    log-likelihood changes by less than ``tol`` relative, and keeps the
-    components whose expected count is at least ``EMPTY_COUNT`` (dropped
-    before each M-step).
+    log-likelihood changes by less than ``CONVERGENCE_TOL`` relative, and
+    keeps the components whose expected count is at least ``EMPTY_COUNT``
+    (dropped before each M-step).
     """
     budget = FitSettings()
     standardizer = Standardizer.fit(data)
@@ -369,7 +368,7 @@ def fit_em_mixture(data, seed):
         scores = component_log_scores(model, data)
         mean_log_likelihood = logsumexp(scores, axis=1).mean()
         if previous is not None and (abs(mean_log_likelihood - previous)
-                                     < budget.tol * abs(mean_log_likelihood)):
+                                     < CONVERGENCE_TOL * abs(mean_log_likelihood)):
             break
         previous = mean_log_likelihood
         resp = _softmax_rows(scores)

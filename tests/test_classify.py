@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from summertime.classify import (
+    HIDDEN_UNITS,
+    L2_PENALTY,
     ClassPrediction,
     MlpModel,
     MlpSettings,
@@ -100,8 +102,8 @@ def reference_sgd(x, y, head, settings, seed):
     parameters that batch stepped from, stacked in the epoch's shuffled order.
     """
     rng = np.random.default_rng(seed)
-    params = _init_params(x.shape[1], settings.hidden_units, y.shape[1], rng)
-    lr, l2 = settings.learning_rate, settings.l2_penalty
+    params = _init_params(x.shape[1], HIDDEN_UNITS, y.shape[1], rng)
+    lr, l2 = settings.learning_rate, L2_PENALTY
     log = []
     for _ in range(settings.epochs):
         order = rng.permutation(len(x))
@@ -130,10 +132,8 @@ REFERENCE_CASES = [
     pytest.param(7, 32, False, {}, id="7-32-False"),
     # the last batch holds one row
     pytest.param(33, 32, False, {}, id="33-32-False"),
-    pytest.param(45, 8, True, {"l2_penalty": 0.0}, id="45-8-True-no_decay"),
-    # the window classifier's widths: 18 features, 25 hidden units, 6 classes
-    pytest.param(70, 32, True, {"features": 18, "classes": 6, "epochs": 3,
-                                "hidden_units": MlpSettings().hidden_units},
+    # the window classifier's widths: 18 features, 6 classes
+    pytest.param(70, 32, True, {"features": 18, "classes": 6, "epochs": 3},
                  id="70-32-True-default_widths"),
 ]
 
@@ -145,8 +145,8 @@ def reference_case(head, n, batch_size, changes):
     features, classes = changes.pop("features", 4), changes.pop("classes", 3)
     rng = np.random.default_rng(43)
     x = rng.normal(3.0, 2.0, size=(n, features))
-    settings = replace(MlpSettings(hidden_units=6, epochs=12, batch_size=batch_size,
-                                   learning_rate=0.05), **changes)
+    settings = replace(MlpSettings(epochs=12, batch_size=batch_size, learning_rate=0.05),
+                       **changes)
     if head == "softmax":
         labels = tuple("abcdef"[:classes])
         targets = [labels[i % classes] for i in range(n)]
@@ -293,8 +293,7 @@ def test_capacity_on_a_tiny_task():
     labels = ["a", "b"] * 5
     model = train_mlp(
         x, labels, class_labels=("a", "b"),
-        settings=MlpSettings(epochs=5000, batch_size=10, l2_penalty=0.0,
-                             learning_rate=0.1),
+        settings=MlpSettings(epochs=5000, batch_size=10, learning_rate=0.1),
         seed=3,
     )
     assert model.training_log[-1] < 0.01
@@ -315,7 +314,7 @@ def test_a_classifier_needs_two_class_labels(labels):
 
 
 @pytest.mark.parametrize("field, value", [("batch_size", 2.5), ("epochs", 2.5),
-                                          ("hidden_units", True), ("epochs", 3.0)])
+                                          ("batch_size", True), ("epochs", 3.0)])
 def test_settings_counts_must_be_integers(field, value):
     settings = replace(MlpSettings(), **{field: value})
     with pytest.raises(FitError, match=f"^{field} must be an integer"):
@@ -367,12 +366,12 @@ def test_divergence_is_reported():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_last_step_that_breaks_only_the_biases_is_divergence():
-    # zero inputs and tanh(0) = 0 leave w1 and w2 untouched and the logged
-    # pre-step loss finite; the one step sends the biases to infinity
+    # zero inputs and tanh(0) = 0 give w1 and w2 no data gradient, so the step
+    # leaves them finite, and the logged pre-step loss is finite; the one step
+    # sends the biases to infinity
     with pytest.raises(FitError, match="diverged"):
         train_mlp(np.zeros((8, 3)), np.arange(8.0) * 10,
-                  settings=MlpSettings(epochs=1, batch_size=8, learning_rate=1e308,
-                                       l2_penalty=0.0))
+                  settings=MlpSettings(epochs=1, batch_size=8, learning_rate=1e308))
 
 
 def test_input_standardizer_is_applied_at_predict_time():

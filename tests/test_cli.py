@@ -186,6 +186,21 @@ def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
+def test_an_empty_corpus_flag_is_a_config_error(tmp_path, monkeypatch, capsys):
+    # an empty path resolves to the working directory: run inside a corpus,
+    # it would load that corpus instead of failing
+    cfg = write_config(tmp_path)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    monkeypatch.chdir(tmp_path / "c")
+    capsys.readouterr()
+    code = main(["featurize", "--config", cfg, "--corpus", "",
+                 "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert ("configuration error: io.corpus must be a nonempty path or null"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_corpus_directory_fails_with_corpus_error(tmp_path, capsys):
     cfg = write_config(tmp_path)
     code = main(["featurize", "--config", cfg, "--corpus",

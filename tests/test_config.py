@@ -46,9 +46,12 @@ def test_unknown_keys_are_named():
         config_from_dict({"gmm": {"weight_floor": 0.1}})
     with pytest.raises(ConfigError, match="unknown config key regression.mode"):
         config_from_dict({"regression": {"mode": "augmented"}})
-    for key in ("dirichlet_alpha0", "beta0", "nu0"):
-        with pytest.raises(ConfigError, match=f"unknown config key gmm.{key}"):
-            config_from_dict({"gmm": {key: 1.0}})
+    # settings that became vbgmm and classify constants
+    for section, key in (("gmm", "dirichlet_alpha0"), ("gmm", "beta0"), ("gmm", "nu0"),
+                         ("gmm", "tol"), ("mlp", "hidden_units"), ("mlp", "l2_penalty")):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict({section: {key: 1.0}})
+        assert str(info.value) == f"unknown config key {section}.{key}"
 
 
 # Every section of PipelineConfig with one key, a valid non-default value and
@@ -106,11 +109,12 @@ def test_value_validation_messages():
         ({"mlp": {"epochs": "500"}}, "mlp.epochs must be an integer"),
         ({"gmm": {"k_max": True}}, "gmm.k_max must be an integer"),
         ({"gmm": {"k_max": 2.5}}, "gmm.k_max must be an integer"),
-        ({"gmm": {"tol": False}}, "gmm.tol must be a number"),
+        ({"mlp": {"learning_rate": False}}, "mlp.learning_rate must be a number"),
         ({"synthetic": {"subjects": None}}, "synthetic.subjects must be an integer"),
         ({"io": {"out": 5}}, "io.out must be a string"),
         ({"io": {"corpus": ["a"]}}, "io.corpus must be a string or null"),
-        ({"gmm": {"tol": 10**400}}, "gmm.tol is too large for a number"),
+        ({"mlp": {"learning_rate": 10**400}},
+         "mlp.learning_rate is too large for a number"),
     ]:
         with pytest.raises(ConfigError) as info:
             config_from_dict(payload)
@@ -119,33 +123,32 @@ def test_value_validation_messages():
     for payload, message in [
         ({"gmm": {"k_max": 0}}, "gmm.k_max must be positive"),
         ({"mlp": {"learning_rate": -1}}, "mlp.learning_rate must be positive"),
-        ({"mlp": {"l2_penalty": -1}}, "mlp.l2_penalty must be nonnegative"),
-        ({"gmm": {"tol": float("nan")}}, "gmm.tol must be finite"),
         ({"mlp": {"learning_rate": float("nan")}}, "mlp.learning_rate must be finite"),
-        ({"mlp": {"l2_penalty": float("inf")}}, "mlp.l2_penalty must be finite"),
+        ({"mlp": {"learning_rate": float("inf")}}, "mlp.learning_rate must be finite"),
         ({"synthetic": {"subjects": 0}}, "synthetic.subjects must be positive"),
         ({"synthetic": {"bouts_per_class": 0}},
          "synthetic.bouts_per_class must be positive"),
         ({"gmm": {"seed": -3}}, "gmm.seed must be nonnegative"),
         ({"mlp": {"seed": -1}}, "mlp.seed must be nonnegative"),
         ({"synthetic": {"seed": -1}}, "synthetic.seed must be nonnegative"),
+        ({"io": {"corpus": ""}}, "io.corpus must be a nonempty path or null"),
     ]:
         with pytest.raises(ConfigError) as info:
             config_from_dict(payload)
         assert str(info.value) == message
     # Numbers where a float is due, and null where None is allowed, pass.
-    config = config_from_dict({"gmm": {"tol": 1}, "io": {"corpus": None}})
-    assert config.gmm.tol == 1 and config.io.corpus is None
+    config = config_from_dict({"mlp": {"learning_rate": 1}, "io": {"corpus": None}})
+    assert config.mlp.learning_rate == 1 and config.io.corpus is None
     config = config_from_dict({"gmm": {"seed": 0}, "mlp": {"seed": 0}, "synthetic": {"seed": 0}})
     assert (config.gmm.seed, config.mlp.seed, config.synthetic.seed) == (0, 0, 0)
 
 
 def test_integer_in_a_float_field_has_the_float_fingerprint():
-    whole = config_from_dict({"gmm": {"tol": 1}, "mlp": {"learning_rate": 1}})
-    point = config_from_dict({"gmm": {"tol": 1.0}, "mlp": {"learning_rate": 1.0}})
+    whole = config_from_dict({"mlp": {"learning_rate": 1}})
+    point = config_from_dict({"mlp": {"learning_rate": 1.0}})
     assert whole == point
     assert whole.fingerprint() == point.fingerprint()
-    assert type(whole.gmm.tol) is float and type(whole.mlp.learning_rate) is float
+    assert type(whole.mlp.learning_rate) is float
 
 
 def test_method_registry_names():
@@ -169,7 +172,8 @@ def test_load_config_rejects_bad_json(tmp_path):
     with pytest.raises(ConfigError, match="broken.json"):
         load_config(path)
     # json.load reads these literals; the stage settings reject them.
-    for text, message in [('{"gmm": {"tol": NaN}}', "gmm.tol must be finite"),
+    for text, message in [('{"mlp": {"learning_rate": NaN}}',
+                           "mlp.learning_rate must be finite"),
                           ('{"mlp": {"learning_rate": Infinity}}',
                            "mlp.learning_rate must be finite")]:
         path.write_text(text)
@@ -236,13 +240,12 @@ def test_semantic_dict_drops_execution_keys():
 def test_default_config_is_pinned():
     config = PipelineConfig()
     assert config.fingerprint() == (
-        "25f932ec25113dd6393e0274efca4049c44189cb23792a62e441a08e59a5bf77"
+        "d9250010f3375257a2ea5c98a4d3b5c44072a960900d7232e709530a25e8aa24"
     )
     assert {name: sorted(section) for name, section in config.to_dict().items()
             if isinstance(section, dict)} == {
-        "gmm": ["k_max", "max_iter", "seed", "tol"],
-        "mlp": ["batch_size", "epochs", "hidden_units", "l2_penalty",
-                "learning_rate", "seed"],
+        "gmm": ["k_max", "max_iter", "seed"],
+        "mlp": ["batch_size", "epochs", "learning_rate", "seed"],
         "regression": ["aggregation"],
         "evaluation": ["methods"],
         "synthetic": ["bouts_per_class", "seed", "subjects"],

@@ -320,6 +320,43 @@ def test_load_rejects_conflicting_met_values_in_one_window(tmp_path):
         load_corpus(tmp_path / "c", window_length=12)
 
 
+def test_load_names_the_first_line_of_a_window_without_a_met_value(tmp_path):
+    save_corpus(small_corpus(), tmp_path / "c")
+    data_file = next(
+        p for p in sorted((tmp_path / "c").glob("*.csv")) if p.name != "manifest.csv"
+    )
+    lines = data_file.read_text().splitlines()
+    # line 14 is window 1's first row, the only one that carries its met value
+    lines[13] = lines[13].rsplit(",", 1)[0] + ","
+    data_file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusLoadError) as info:
+        load_corpus(tmp_path / "c", window_length=12)
+    assert str(info.value) == f"{data_file}:14: window 1 has no met value"
+
+
+def test_load_reads_met_repeated_on_every_row_of_its_window(tmp_path):
+    # each bout gets a trailing partial window of 5 rows, which carries no met
+    corpus = small_corpus()
+    corpus = replace(corpus, bouts=tuple(
+        replace(b, signal=np.vstack([b.signal, b.signal[:5]])) for b in corpus.bouts))
+    save_corpus(corpus, tmp_path / "c")
+    first_row = load_corpus(tmp_path / "c", window_length=12)
+    for data_file in sorted((tmp_path / "c").glob("*.csv")):
+        if data_file.name == "manifest.csv":
+            continue
+        header, *rows = data_file.read_text().splitlines()
+        samples = [row.rsplit(",", 1)[0] for row in rows]
+        mets = [row.rsplit(",", 1)[1] for row in rows]
+        full = len(rows) // 12 * 12
+        repeated = [mets[r // 12 * 12] if r < full else "" for r in range(len(rows))]
+        assert repeated != mets and all(repeated[:full]) and not any(repeated[full:])
+        data_file.write_text("\n".join(
+            [header] + [f"{s},{m}" for s, m in zip(samples, repeated)]) + "\n")
+    loaded = load_corpus(tmp_path / "c", window_length=12)
+    assert all(len(bout.targets) == 3 for bout in loaded.bouts)
+    assert corpora_equal(loaded, first_row)  # targets bit for bit
+
+
 # ---- LOSO folds ----------------------------------------------------------
 
 
