@@ -1,6 +1,7 @@
 """Network training: gradients vs finite differences, voting, determinism."""
 
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -83,38 +84,80 @@ def test_l2_penalty_touches_weights_not_biases():
     np.testing.assert_allclose(fat["w1"] - lean["w1"], 0.5 * params["w1"], atol=1e-12)
 
 
-def reference_data_loss(logits, y, head):
-    """Mean per-example data loss of ``logits``, in plain numpy."""
+def reference_data_loss(outputs, y, head):
+    """Mean per-example data loss of the head's ``outputs`` (probabilities or
+    linear values, one row per example), in plain numpy."""
     if head == "softmax":
-        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-        probs = shifted / shifted.sum(axis=1, keepdims=True)
-        return float(-np.sum(y * np.log(np.maximum(probs, 1e-300))) / len(y))
-    return float(0.5 * np.mean((logits - y) ** 2))
+        return float(-np.sum(y * np.log(np.maximum(outputs, 1e-300))) / len(y))
+    return float(0.5 * np.mean((outputs - y) ** 2))
 
 
 def reference_sgd(x, y, head, settings, seed):
     """Plain minibatch descent on the objective, with the backprop written out
     in numpy expressions: what train_mlp must reproduce bit for bit.
 
-    Each float operation comes in the order train_mlp's step makes it, and
-    nothing here calls into summertime.classify beyond the initialization.
-    An epoch's log entry is the data loss of every batch's logits at the
-    parameters that batch stepped from, stacked in the epoch's shuffled order.
+    Each layer is one (units_out, units_in + 1) block whose last column is the
+    bias; the inputs get a ones column and the hidden activations a ones row,
+    so each product includes the bias, and the weight decay is 0 on the bias
+    columns.  Activations and outputs are (units, rows).  Each float operation
+    comes in the order train_mlp's step makes it, the products are
+    ``ndarray.dot`` as there, and nothing here calls into
+    summertime.classify beyond the initialization.  An epoch's log entry is
+    the data loss of every batch's head outputs at the parameters that batch
+    stepped from, stacked in the epoch's shuffled order.
+    """
+    rng = np.random.default_rng(seed)
+    init = _init_params(x.shape[1], HIDDEN_UNITS, y.shape[1], rng)
+    layers = [np.hstack((init["w1"].T, init["b1"][:, None])),
+              np.hstack((init["w2"].T, init["b2"][:, None]))]
+    penalties = [np.full(layer.shape, L2_PENALTY) for layer in layers]
+    for penalty in penalties:
+        penalty[:, -1] = 0.0
+    x = np.hstack((x, np.ones((len(x), 1))))
+    lr = settings.learning_rate
+    log = []
+    for _ in range(settings.epochs):
+        order = rng.permutation(len(x))
+        outputs = []
+        for start in range(0, len(x), settings.batch_size):
+            batch = order[start : start + settings.batch_size]
+            xb, yb = x[batch], y[batch]
+            l1, l2 = layers
+            a = np.tanh(l1.dot(xb.T))
+            h = np.vstack((a, np.ones((1, len(xb)))))
+            out = l2.dot(h)
+            if head == "softmax":
+                shifted = np.exp(out - out.max(axis=0, keepdims=True))
+                out = shifted / shifted.sum(axis=0, keepdims=True)
+            outputs.append(out.T)
+            d = (out - yb.T) / len(xb)
+            dh = l2[:, :-1].T.dot(d) * (1 - a * a)
+            grads = [dh.dot(xb) + penalties[0] * l1, d.dot(h.T) + penalties[1] * l2]
+            layers = [layer - lr * grad for layer, grad in zip(layers, grads)]
+        log.append(reference_data_loss(np.vstack(outputs), y[order], head))
+    l1, l2 = layers
+    params = {"w1": l1[:, :-1].T, "b1": l1[:, -1], "w2": l2[:, :-1].T, "b2": l2[:, -1]}
+    return params, tuple(log)
+
+
+def textbook_sgd(x, y, head, settings, seed):
+    """The same descent written the textbook way: (units_in, units_out) weights,
+    each bias added after its product, bias gradients as column sums.
+
+    It computes the same function as reference_sgd in another float order, so
+    train_mlp meets it within rounding, not bit for bit.
     """
     rng = np.random.default_rng(seed)
     params = _init_params(x.shape[1], HIDDEN_UNITS, y.shape[1], rng)
     lr, l2 = settings.learning_rate, L2_PENALTY
-    log = []
     for _ in range(settings.epochs):
         order = rng.permutation(len(x))
-        logits = []
         for start in range(0, len(x), settings.batch_size):
             batch = order[start : start + settings.batch_size]
             xb, yb = x[batch], y[batch]
             w1, b1, w2, b2 = (params[k] for k in ("w1", "b1", "w2", "b2"))
             h = np.tanh(xb @ w1 + b1)
             out = h @ w2 + b2
-            logits.append(out)
             if head == "softmax":
                 shifted = np.exp(out - out.max(axis=1, keepdims=True))
                 out = shifted / shifted.sum(axis=1, keepdims=True)
@@ -123,8 +166,7 @@ def reference_sgd(x, y, head, settings, seed):
             grads = {"w2": h.T @ d + l2 * w2, "b2": d.sum(axis=0),
                      "w1": xb.T @ dh + l2 * w1, "b1": dh.sum(axis=0)}
             params = {k: p - lr * grads[k] for k, p in params.items()}
-        log.append(reference_data_loss(np.vstack(logits), y[order], head))
-    return params, tuple(log)
+    return params
 
 
 REFERENCE_CASES = [
@@ -174,6 +216,36 @@ def test_training_matches_the_reference_descent(head, n, batch_size, standardize
     model = train_mlp(x, targets, class_labels=labels, settings=settings, seed=8,
                       standardize_inputs=standardize)
     assert_matches_reference(model, x, y, head, settings, 8, standardize)
+
+
+@pytest.mark.parametrize("head", ["softmax", "linear"])
+@pytest.mark.parametrize("n, batch_size, standardize, changes", REFERENCE_CASES)
+def test_training_matches_the_textbook_descent(head, n, batch_size, standardize,
+                                               changes):
+    # the bias-folded op order computes the textbook algorithm, up to rounding
+    x, targets, labels, settings, y = reference_case(head, n, batch_size, changes)
+    model = train_mlp(x, targets, class_labels=labels, settings=settings, seed=8,
+                      standardize_inputs=standardize)
+    x_ref = Standardizer.fit(x).transform(x) if standardize else x
+    params = textbook_sgd(x_ref, y, head, settings, seed=8)
+    for key in ("w1", "b1", "w2", "b2"):
+        np.testing.assert_allclose(getattr(model, key), params[key], rtol=1e-12)
+
+
+@pytest.mark.parametrize("head", ["softmax", "linear"])
+def test_fitted_weights_are_plain_arrays_that_reload_to_the_same_bits(head):
+    x, targets, labels, settings, _ = reference_case(head, 33, 8, {})
+    model = train_mlp(x, targets, class_labels=labels, settings=settings, seed=8,
+                      standardize_inputs=True)
+    arrays = [getattr(model, key) for key in ("w1", "b1", "w2", "b2")]
+    for i, array in enumerate(arrays):
+        assert array.flags.c_contiguous
+        for other in arrays[i + 1 :]:
+            assert not np.shares_memory(array, other)
+    loaded = model_from_dict(model_to_dict(model))
+    probe = np.random.default_rng(3).normal(3.0, 2.0, size=(20, x.shape[1]))
+    predict = predict_probabilities if head == "softmax" else predict_values
+    assert np.array_equal(predict(loaded, probe), predict(model, probe))
 
 
 @pytest.mark.parametrize("head", ["softmax", "linear"])
@@ -311,6 +383,17 @@ def test_a_classifier_needs_two_class_labels(labels):
     with pytest.raises(FitError, match=f"^a classifier needs at least 2 class labels, "
                                        f"got {len(labels)}$"):
         train_mlp(np.zeros((4, 2)), ["a"] * 4, class_labels=labels)
+
+
+@pytest.mark.parametrize("value", [True, "0.01", None])
+def test_settings_learning_rate_must_be_a_number(value):
+    settings = MlpSettings(learning_rate=value)
+    message = f"^learning_rate must be a number, got {re.escape(repr(value))}$"
+    with pytest.raises(FitError, match=message):
+        settings.validate()
+    with pytest.raises(FitError, match=message):
+        train_mlp(np.zeros((4, 2)), ["a", "b"] * 2, class_labels=("a", "b"),
+                  settings=settings)
 
 
 @pytest.mark.parametrize("field, value", [("batch_size", 2.5), ("epochs", 2.5),
