@@ -27,9 +27,10 @@ standardizer so new points can be scored.
 Both CAVI updates read one array built once per fit: the products z_i z_j
 (i <= j) of every point, N * D(D+1)/2 floats.  The M-step takes every
 component's second moments from it as one matrix product with the
-responsibilities, and the E-step forms every component's expected quadratic
-term from it as one matrix product with the packed precision coefficients,
-so no update loops over components or holds a per-component (N, D) array.
+responsibilities.  ``_quadratic`` forms every component's Gaussian quadratic
+(z - m_k)^T P_k (z - m_k) from it as one matrix product with the packed
+precision coefficients; the E-step and mixture scoring both call it, so no
+update or score loops over components or holds a per-component (N, D) array.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import digamma, gammaln, logsumexp
 
 from .errors import (ConsistencyError, FitError, load_payload, reading_payload,
@@ -126,8 +126,11 @@ class MixtureModel:
     """Fitted mixture: weights, means and covariances in original feature space.
 
     ``weights`` sum to 1 over the surviving components; ``means`` is (K, D)
-    and ``covariances`` is (K, D, D).  ``elbo_trace`` is the objective value
-    after each training iteration (nondecreasing), in z-scored space.
+    and ``covariances`` is (K, D, D), each symmetric positive definite.
+    ``elbo_trace`` is the objective value after each training iteration
+    (nondecreasing), in z-scored space.  The z-space terms that scoring
+    reads are computed when the model is built, so a malformed covariance
+    fails on load.
     """
 
     weights: np.ndarray
@@ -159,24 +162,26 @@ class MixtureModel:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "covariances", covs)
-        # Cache z-space Cholesky factors once, so that each ``assign`` (one
-        # per summarized corpus, in every fold) only solves against them.
+        asymmetry = np.abs(covs - covs.transpose(0, 2, 1)).max(axis=(1, 2))
+        bad = np.flatnonzero(asymmetry > 1e-12 * np.abs(covs).max(axis=(1, 2)))
+        if bad.size:
+            raise ValueError(f"component {bad[0]}: covariance is not symmetric")
+        self._z_terms  # computed now, so a covariance that is not PD fails here
+
+    @functools.cached_property
+    def _z_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The z-space means, precisions and log-determinants of the
+        components, from one batched eigendecomposition of the z-space
+        covariances; raises ValueError naming the first component whose
+        covariance is not positive definite."""
         scale = self.standardizer.std
-        z_means = (means - self.standardizer.mean) / scale
-        z_covs = covs / np.outer(scale, scale)[None, :, :]
-        chols = np.empty_like(z_covs)
-        log_dets = np.empty(k)
-        for j in range(k):
-            try:
-                chols[j] = np.linalg.cholesky(z_covs[j])
-            except np.linalg.LinAlgError:
-                raise ValueError(
-                    f"component {j}: covariance is not positive definite"
-                ) from None
-            log_dets[j] = 2.0 * np.log(np.diag(chols[j])).sum()
-        object.__setattr__(self, "_z_means", z_means)
-        object.__setattr__(self, "_z_chols", chols)
-        object.__setattr__(self, "_z_log_dets", log_dets)
+        vals, vecs = np.linalg.eigh(self.covariances / np.outer(scale, scale))
+        bad = np.flatnonzero(vals[:, 0] <= 0)
+        if bad.size:
+            raise ValueError(f"component {bad[0]}: covariance is not positive definite")
+        precisions = (vecs / vals[:, None, :]) @ vecs.transpose(0, 2, 1)
+        return ((self.means - self.standardizer.mean) / scale, precisions,
+                np.log(vals).sum(axis=1))
 
     @property
     def component_count(self) -> int:
@@ -187,27 +192,23 @@ class MixtureModel:
         return self.means.shape[1]
 
 
-def _z_log_component_densities(model: MixtureModel, data: np.ndarray) -> np.ndarray:
-    """(N, K) log N(z_n | mu_k, Sigma_k) in z-scored space."""
-    data = np.atleast_2d(data)
+def component_log_scores(model: MixtureModel, data: np.ndarray) -> np.ndarray:
+    """(N, K) unnormalized log posterior over components: ln w_k + ln N_k(z),
+    with N_k component k's density in z-scored space.
+
+    Raises ValueError on a wrong feature count or a non-finite input.
+    """
+    data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != model.dim:
         raise ValueError(
             f"input has {data.shape[1]} features, model expects {model.dim}"
         )
+    if not np.all(np.isfinite(data)):
+        raise ValueError("input contains non-finite values")
     z = model.standardizer.transform(data)
-    n, d = z.shape
-    out = np.empty((n, model.component_count))
-    for j in range(model.component_count):
-        diff = z - model._z_means[j]
-        sol = solve_triangular(model._z_chols[j], diff.T, lower=True)
-        quad = np.sum(sol * sol, axis=0)
-        out[:, j] = -0.5 * (d * LOG_2PI + model._z_log_dets[j] + quad)
-    return out
-
-
-def component_log_scores(model: MixtureModel, data: np.ndarray) -> np.ndarray:
-    """(N, K) unnormalized log posterior over components: ln w_k + ln N_k(z)."""
-    return np.log(model.weights)[None, :] + _z_log_component_densities(model, data)
+    means, precisions, log_dets = model._z_terms
+    quad = _quadratic(z, _pair_products(z), precisions, means)
+    return np.log(model.weights) - 0.5 * (model.dim * LOG_2PI + log_dets + quad)
 
 
 def _softmax_rows(log_weights: np.ndarray, out: np.ndarray | None = None,
@@ -340,19 +341,27 @@ def _update_posterior(z: np.ndarray, pairs: np.ndarray, resp: np.ndarray) -> _Po
     )
 
 
+def _quadratic(z: np.ndarray, pairs: np.ndarray, precisions: np.ndarray,
+               means: np.ndarray) -> np.ndarray:
+    """(N, K) quadratic (z_n - m_k)^T P_k (z_n - m_k) of every point and
+    component, for (K, D, D) symmetric ``precisions`` and (K, D) ``means``.
+
+    ``pairs`` is ``_pair_products(z)``.  The quadratic expands to
+    ``pairs @ C^T - 2 z (P_k m_k)^T + m_k^T P_k m_k``, where a row of C
+    holds P_k's upper triangle with off-diagonal terms doubled.
+    """
+    rows, cols = _upper_triangle(z.shape[1])
+    coef = np.where(rows == cols, 1.0, 2.0) * precisions[:, rows, cols]
+    pm = (precisions @ means[:, :, None])[:, :, 0]
+    return pairs @ coef.T - 2.0 * (z @ pm.T) + np.sum(pm * means, axis=1)
+
+
 def _expected_log_likelihood_terms(z: np.ndarray, pairs: np.ndarray,
                                    post: _Posterior) -> np.ndarray:
-    """(N, K) matrix of E_q[ln pi_k] + 0.5 E_q[ln|Lambda_k|] - 0.5 E_q[quad].
-
-    The quadratic nu_k (z - m_k)^T W_k (z - m_k) of every component expands
-    to ``pairs @ C^T - 2 z (nu_k W_k m_k)^T + nu_k m_k^T W_k m_k``, where a
-    row of C holds nu_k W_k's upper triangle with off-diagonal terms doubled.
-    """
+    """(N, K) matrix of E_q[ln pi_k] + 0.5 E_q[ln|Lambda_k|] - 0.5 E_q[quad],
+    where E_q[quad] is D / beta_k plus the quadratic of nu_k W_k about m_k."""
     dim = z.shape[1]
-    rows, cols = _upper_triangle(dim)
-    coef = post.nu[:, None] * np.where(rows == cols, 1.0, 2.0) * post.w[:, rows, cols]
-    wm = post.nu[:, None] * (post.w @ post.m[:, :, None])[:, :, 0]
-    quad = pairs @ coef.T - 2.0 * (z @ wm.T) + np.sum(wm * post.m, axis=1)
+    quad = _quadratic(z, pairs, post.nu[:, None, None] * post.w, post.m)
     return (post.e_log_pi + 0.5 * post.e_log_det
             - 0.5 * (dim * LOG_2PI + dim / post.beta + quad))
 
@@ -392,14 +401,6 @@ def _elbo(resp: np.ndarray, post: _Posterior) -> float:
                  - (resp * log_r).sum())
 
 
-def _floor_covariance(cov: np.ndarray) -> np.ndarray:
-    """Clip covariance eigenvalues from below; keeps the matrix symmetric PD."""
-    vals, vecs = np.linalg.eigh(0.5 * (cov + cov.T))
-    vals = np.maximum(vals, COVARIANCE_EIGENVALUE_FLOOR)
-    floored = (vecs * vals) @ vecs.T
-    return 0.5 * (floored + floored.T)
-
-
 def fit_mixture(data: np.ndarray, settings: FitSettings | None = None,
                 seed: int = 0) -> MixtureModel:
     """Fit the mixture to (N, D) training data.
@@ -415,7 +416,7 @@ def fit_mixture(data: np.ndarray, settings: FitSettings | None = None,
         raise FitError(f"training data must be 2-d, got shape {data.shape}")
     if not np.all(np.isfinite(data)):
         raise FitError("training data contains non-finite values")
-    n, dim = data.shape
+    n = data.shape[0]
     if n < 2:
         raise FitError(f"need at least 2 training points, got {n}")
 
@@ -457,17 +458,16 @@ def fit_mixture(data: np.ndarray, settings: FitSettings | None = None,
     keep = np.flatnonzero(post.nk >= EMPTY_COUNT)
     weights = post.alpha[keep] / post.alpha[keep].sum()
 
+    # Floor the z-space covariances' eigenvalues, keeping each one PD.
+    cov_z = post.w_inv[keep] / post.nu[keep, None, None]
+    vals, vecs = np.linalg.eigh(0.5 * (cov_z + cov_z.transpose(0, 2, 1)))
+    floored = (vecs * np.maximum(vals, COVARIANCE_EIGENVALUE_FLOOR)[:, None, :]
+               @ vecs.transpose(0, 2, 1))
     scale = standardizer.std
-    means = standardizer.inverse(post.m[keep])
-    covariances = np.empty((keep.size, dim, dim))
-    for out_j, j in enumerate(keep):
-        cov_z = _floor_covariance(post.w_inv[j] / post.nu[j])
-        covariances[out_j] = cov_z * np.outer(scale, scale)
-
     return MixtureModel(
         weights=weights,
-        means=means,
-        covariances=covariances,
+        means=standardizer.inverse(post.m[keep]),
+        covariances=0.5 * (floored + floored.transpose(0, 2, 1)) * np.outer(scale, scale),
         standardizer=standardizer,
         elbo_trace=tuple(elbo_trace),
         seed=seed,

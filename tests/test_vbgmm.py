@@ -1,17 +1,20 @@
 """Variational mixture fitting: recovery, monotonicity, densities, pruning."""
 
 import hashlib
+import json
+import re
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import digamma, gammaln, multigammaln, xlogy
-from scipy.stats import wishart
+from scipy.stats import multivariate_normal, wishart
 
 from summertime import vbgmm
 from summertime.dataset import SyntheticConfig, generate_synthetic
 from summertime.errors import FitError
-from summertime.features import featurize_corpus, stack_features
+from summertime.features import WindowFeatures, featurize_corpus, stack_features
+from summertime.summarize import summarize_corpus
 from summertime.vbgmm import (
     FitSettings,
     Standardizer,
@@ -468,8 +471,6 @@ def test_serialization_rejects_foreign_payloads():
 
 
 def test_model_dict_is_json_clean():
-    import json
-
     rng = np.random.default_rng(41)
     model = fit_mixture(three_blob_data(rng), FitSettings(k_max=5), seed=8)
     payload = model_to_dict(model)
@@ -482,3 +483,77 @@ def test_dimension_mismatch_is_reported():
     model = fit_mixture(three_blob_data(rng), FitSettings(k_max=5), seed=9)
     with pytest.raises(ValueError, match="expects 2"):
         log_density(model, np.zeros((4, 3)))
+
+
+def test_scoring_rejects_non_finite_input_by_name():
+    rng = np.random.default_rng(52)
+    model = fit_mixture(three_blob_data(rng), FitSettings(k_max=5), seed=9)
+    for bad in (np.nan, np.inf, -np.inf):
+        data = rng.normal(size=(6, 2))
+        data[3, 1] = bad
+        for score in (assign, log_density, component_log_scores):
+            with pytest.raises(ValueError, match="^input contains non-finite values$"):
+                score(model, data)
+        bouts = [WindowFeatures("a", "s", "Walk", data[:2]),
+                 WindowFeatures("b", "s", "Walk", data[2:])]
+        with pytest.raises(ValueError, match="^input contains non-finite values$"):
+            summarize_corpus(model, bouts)
+
+
+def planar_payload(covariances):
+    return {"format": "vbgmm", "version": 1, "weights": [0.5, 0.5],
+            "means": [[0.0, 0.0], [1.0, 1.0]], "covariances": covariances,
+            "standardizer": {"mean": [0.0, 0.0], "std": [1.0, 2.0]}}
+
+
+def test_an_asymmetric_covariance_is_rejected(tmp_path):
+    # Cholesky and eigh read one triangle only, so this model would score
+    # its first component as if both off-diagonal entries were -0.9.
+    payload = planar_payload([[[1.0, 0.9], [-0.9, 1.0]], np.eye(2).tolist()])
+    with pytest.raises(ValueError, match="^component 0: covariance is not symmetric$"):
+        model_from_dict(payload)
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}: component 0: covariance is not symmetric$"):
+        load_model(path)
+    # Rounding-level asymmetry, relative to the component's largest entry, loads.
+    model_from_dict(planar_payload([np.eye(2).tolist(),
+                                    [[1e6, 0.5], [0.5 + 1e-7, 1.0]]]))
+
+
+@pytest.mark.parametrize("second", [-1.0, 0.0])
+def test_a_covariance_that_is_not_positive_definite_is_rejected(second):
+    payload = {"format": "vbgmm", "version": 1, "weights": [0.5, 0.5],
+               "means": [[0.0], [1.0]], "covariances": [[[1.0]], [[second]]],
+               "standardizer": {"mean": [0.0], "std": [1.0]}}
+    with pytest.raises(ValueError,
+                       match="^component 1: covariance is not positive definite$"):
+        model_from_dict(payload)
+
+
+def test_component_scores_match_scipy_densities():
+    # A standardizer that shifts and rescales, and a component whose
+    # covariance has eigenvalues 1e-6 and 1: near that component's mean the
+    # pair-product expansion cancels most of its digits.
+    angle = 0.4
+    rotation = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    tight = rotation @ np.diag([1e-6, 1.0]) @ rotation.T
+    tight = 0.5 * (tight + tight.T)
+    weights = np.array([0.2, 0.5, 0.3])
+    means = np.array([[1.0, -2.0], [4.0, 3.0], [-3.0, 0.5]])
+    covs = np.array([tight, [[2.0, 0.3], [0.3, 0.5]], [[0.7, -0.2], [-0.2, 9.0]]])
+    std = np.array([0.5, 3.0])
+    model = model_from_dict({"format": "vbgmm", "version": 1,
+                             "weights": weights.tolist(), "means": means.tolist(),
+                             "covariances": covs.tolist(),
+                             "standardizer": {"mean": [1.5, -0.5], "std": std.tolist()}})
+    rng = np.random.default_rng(24)
+    near = np.repeat(means, 10, axis=0) + rng.uniform(-1e-3, 1e-3, size=(30, 2))
+    for points in (near, rng.normal(scale=5.0, size=(50, 2)),
+                   rng.normal(scale=200.0, size=(20, 2))):
+        want = np.column_stack([
+            np.log(w) + multivariate_normal(m, c).logpdf(points) + np.log(std).sum()
+            for w, m, c in zip(weights, means, covs)])
+        np.testing.assert_allclose(component_log_scores(model, points), want,
+                                   rtol=1e-10, atol=1e-8)
