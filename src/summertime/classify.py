@@ -120,6 +120,8 @@ class MlpModel:
             raise ValueError(f"unknown head {self.head!r}")
         if self.head == "softmax" and len(self.class_labels) < 2:
             raise ValueError("softmax head needs >= 2 class labels")
+        if self.head == "linear" and self.class_labels:
+            raise ValueError("linear head takes no class labels")
         repeated = _repeated_label(self.class_labels)
         if repeated is not None:
             raise ValueError(f"class label {repeated!r} is repeated")

@@ -156,7 +156,7 @@ def cmd_featurize(args: argparse.Namespace, config: PipelineConfig) -> int:
     out = Path(config.io.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "features.csv"
-    write_features_csv(features, path, corpus.axis_count)
+    write_features_csv(features, path)
     print(f"wrote {sum(f.window_count for f in features)} windows to {path}")
     return 0
 

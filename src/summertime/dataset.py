@@ -25,11 +25,11 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, CorpusLoadError
+from .errors import ConfigError, CorpusLoadError, write_csv
 
 DEFAULT_LABELS = ("Sed", "LHH", "MtV", "Walk", "Run")
 DEFAULT_WINDOW_LENGTH = 12
@@ -139,43 +139,45 @@ def _format_number(value: float) -> str:
     return repr(float(value))
 
 
+def _bout_rows(bout: Bout, window_length: int) -> Iterator[list[str]]:
+    """A bout file's rows, the ``met`` cell filled on each full window's first row."""
+    for t, sample in enumerate(bout.signal.tolist()):
+        row = [str(t), *map(_format_number, sample)]
+        if bout.targets is not None:
+            window_index, offset = divmod(t, window_length)
+            first = offset == 0 and window_index < len(bout.targets)
+            row.append(_format_number(bout.targets[window_index]) if first else "")
+        yield row
+
+
 def save_corpus(corpus: Corpus, path: str | Path,
                 window_length: int = DEFAULT_WINDOW_LENGTH) -> None:
     """Write ``corpus`` under directory ``path`` in the canonical layout.
 
     Targets are written with the first-row convention: the ``met`` cell is
     filled on the first sample of each window and left empty elsewhere; a
-    bout must carry one target per window, or none.
+    bout must carry one target per window, or none, and an id that makes a
+    plain file name other than the manifest's; else nothing is written.
     """
     for bout in corpus.bouts:
         windows = bout.sample_count // window_length
         if bout.targets is not None and len(bout.targets) != windows:
             raise ValueError(f"bout {bout.bout_id!r}: {windows} windows of {window_length} "
                              f"samples but {len(bout.targets)} targets")
+        name = f"{bout.bout_id}.csv"
+        if name == MANIFEST_NAME or Path(name).name != name:
+            raise ValueError(f"bout {bout.bout_id!r}: {name!r} is not a plain file name "
+                             f"other than {MANIFEST_NAME}")
     root = Path(path)
     root.mkdir(parents=True, exist_ok=True)
-    with open(root / MANIFEST_NAME, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bout_id", "subject_id", "label", "file"])
-        for bout in corpus.bouts:
-            writer.writerow(
-                [bout.bout_id, bout.subject_id, bout.activity_class, f"{bout.bout_id}.csv"]
-            )
+    write_csv(root / MANIFEST_NAME, ["bout_id", "subject_id", "label", "file"], (
+        [bout.bout_id, bout.subject_id, bout.activity_class, f"{bout.bout_id}.csv"]
+        for bout in corpus.bouts))
+    axes = [f"axis{i + 1}" for i in range(corpus.axis_count)]
     for bout in corpus.bouts:
-        axes = [f"axis{i + 1}" for i in range(corpus.axis_count)]
-        header = ["t"] + axes + (["met"] if bout.targets is not None else [])
-        with open(root / f"{bout.bout_id}.csv", "w", newline="\n", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for t in range(bout.sample_count):
-                row = [str(t)] + [_format_number(v) for v in bout.signal[t]]
-                if bout.targets is not None:
-                    window_index, offset = divmod(t, window_length)
-                    if offset == 0 and window_index < len(bout.targets):
-                        row.append(_format_number(bout.targets[window_index]))
-                    else:
-                        row.append("")
-                writer.writerow(row)
+        met = [] if bout.targets is None else ["met"]
+        write_csv(root / f"{bout.bout_id}.csv", ["t", *axes, *met],
+                  _bout_rows(bout, window_length))
     meta = {
         "axis_count": corpus.axis_count,
         "label_set": list(corpus.label_set),
@@ -196,13 +198,33 @@ def _open_text(path: Path) -> io.StringIO:
         raise CorpusLoadError(f"{path}: {exc}") from None
 
 
-def _parse_float(text: str, where: str) -> float:
+def _read_csv(path: Path,
+              what: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The header of a corpus CSV file and its nonblank rows, each paired
+    with the line it starts on; a quoted cell may span lines.  An empty file
+    raises CorpusLoadError naming ``what`` it should hold."""
+    reader = csv.reader(_open_text(path))
+    header = next(reader, None)
+    if header is None:
+        raise CorpusLoadError(f"{path}: empty {what}")
+
+    def rows() -> Iterator[tuple[int, list[str]]]:
+        start = reader.line_num + 1
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                yield start, row
+            start = reader.line_num + 1
+
+    return header, rows()
+
+
+def _parse_float(text: str, path: Path, line: int) -> float:
     try:
         value = float(text)
     except ValueError:
-        raise CorpusLoadError(f"{where}: non-numeric value {text!r}") from None
+        raise CorpusLoadError(f"{path}:{line}: non-numeric value {text!r}") from None
     if not math.isfinite(value):
-        raise CorpusLoadError(f"{where}: non-finite value {text!r}")
+        raise CorpusLoadError(f"{path}:{line}: non-finite value {text!r}")
     return value
 
 
@@ -210,66 +232,52 @@ def _load_bout_file(path: Path, bout_id: str, subject_id: str, label: str,
                     window_length: int) -> Bout:
     if not path.is_file():
         raise CorpusLoadError(f"{path}: bout file is missing")
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusLoadError(f"{path}: empty bout file") from None
-        has_met = bool(header) and header[-1].strip().lower() == "met"
-        axis_names = header[1:-1] if has_met else header[1:]
-        axis_count = len(axis_names)
-        if not header or header[0].strip().lower() != "t" or axis_count < 1:
+    header, lines = _read_csv(path, "bout file")
+    has_met = bool(header) and header[-1].strip().lower() == "met"
+    axis_names = header[1:-1] if has_met else header[1:]
+    axis_count = len(axis_names)
+    if not header or header[0].strip().lower() != "t" or axis_count < 1:
+        raise CorpusLoadError(f"{path}:1: header must be 't,axis1,...,axisA[,met]', "
+                              f"got {','.join(header)!r}")
+    rows: list[list[float]] = []
+    met_cells: list[tuple[int, str]] = []
+    for line, row in lines:
+        if len(row) != len(header):
             raise CorpusLoadError(
-                f"{path}:1: header must be 't,axis1,...,axisA[,met]', got {','.join(header)!r}"
-            )
-        rows: list[list[float]] = []
-        met_cells: list[str] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            expected = 1 + axis_count + (1 if has_met else 0)
-            if len(row) != expected:
-                raise CorpusLoadError(
-                    f"{path}:{line_no}: expected {expected} cells, got {len(row)}"
-                )
-            rows.append(
-                [_parse_float(cell, f"{path}:{line_no}") for cell in row[1 : 1 + axis_count]]
-            )
-            met_cells.append(row[1 + axis_count].strip() if has_met else "")
+                f"{path}:{line}: expected {len(header)} cells, got {len(row)}")
+        rows.append([_parse_float(cell, path, line) for cell in row[1 : 1 + axis_count]])
+        if has_met:
+            met_cells.append((line, row[-1].strip()))
     signal = np.array(rows, dtype=float)
     if signal.shape[0] < window_length:
         raise CorpusLoadError(
             f"{path}: bout shorter than one window "
             f"({signal.shape[0]} < {window_length} samples)"
         )
-    targets = None
-    if has_met:
-        targets = _extract_window_targets(met_cells, window_length, path)
+    targets = _extract_window_targets(met_cells, window_length, path) if has_met else None
     try:
         return Bout(bout_id, subject_id, label, signal, targets)
     except ValueError as exc:
         raise CorpusLoadError(f"{path}: {exc}") from None
 
 
-def _extract_window_targets(met_cells: list[str], window_length: int,
+def _extract_window_targets(met_cells: list[tuple[int, str]], window_length: int,
                             path: Path) -> np.ndarray:
     """Read one MET value per full window; accepts first-row or repeated form.
 
-    Cells in the trailing partial window (if any) are ignored, matching the
-    truncation rule used during segmentation.
+    Cells come as (line, cell) pairs; those in the trailing partial window
+    (if any) are ignored, matching the truncation rule used in segmentation.
     """
     window_count = len(met_cells) // window_length
     targets = np.empty(window_count)
     for w in range(window_count):
-        start = w * window_length  # file line start + 2 is the window's first row
-        block = met_cells[start : start + window_length]
-        values = {_parse_float(cell, f"{path}:{start + offset + 2}")
-                  for offset, cell in enumerate(block) if cell}
+        block = met_cells[w * window_length : (w + 1) * window_length]
+        values = {_parse_float(cell, path, line) for line, cell in block if cell}
+        first_line = block[0][0]
         if not values:
-            raise CorpusLoadError(f"{path}:{start + 2}: window {w} has no met value")
+            raise CorpusLoadError(f"{path}:{first_line}: window {w} has no met value")
         if len(values) > 1:
-            raise CorpusLoadError(f"{path}:{start + 2}: window {w} has conflicting "
+            raise CorpusLoadError(f"{path}:{first_line}: window {w} has conflicting "
                                   f"met values {sorted(values)}")
         targets[w] = values.pop()
     return targets
@@ -321,25 +329,14 @@ def load_corpus(path: str | Path,
             f"{meta['window_length']} but is loaded with window_length {window_length}"
         )
 
-    with _open_text(manifest) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusLoadError(f"{manifest}: empty manifest") from None
-        if [h.strip() for h in header] != ["bout_id", "subject_id", "label", "file"]:
-            raise CorpusLoadError(
-                f"{manifest}:1: header must be 'bout_id,subject_id,label,file'"
-            )
-        entries = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 4:
-                raise CorpusLoadError(
-                    f"{manifest}:{line_no}: expected 4 cells, got {len(row)}"
-                )
-            entries.append((line_no, *[cell.strip() for cell in row]))
+    header, rows = _read_csv(manifest, "manifest")
+    if [h.strip() for h in header] != ["bout_id", "subject_id", "label", "file"]:
+        raise CorpusLoadError(f"{manifest}:1: header must be 'bout_id,subject_id,label,file'")
+    entries = []
+    for line, row in rows:
+        if len(row) != 4:
+            raise CorpusLoadError(f"{manifest}:{line}: expected 4 cells, got {len(row)}")
+        entries.append((line, *[cell.strip() for cell in row]))
     if not entries:
         raise CorpusLoadError(f"{manifest}: manifest lists no bouts")
 

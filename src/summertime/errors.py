@@ -1,13 +1,15 @@
-"""Exception types shared across the package, and the model-file reading,
-writing, finite-value and count checks that every fitted stage shares."""
+"""Exception types shared across the package, the model-file reading and
+writing, finite-value and count checks the fitted stages share, and the one
+CSV table writer."""
 
 from __future__ import annotations
 
+import csv
 import json
 import numbers
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Callable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -94,3 +96,12 @@ def load_payload(path: str | Path, from_dict: Callable[[Any], T]) -> T:
             return from_dict(json.load(fh))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def write_csv(path: str | Path, header: Sequence[str],
+              rows: Iterable[Sequence[str]]) -> None:
+    """Write ``header``, then ``rows`` as they are consumed, as UTF-8 CSV with ``\\n`` ends."""
+    with open(Path(path), "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)

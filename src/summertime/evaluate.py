@@ -39,7 +39,6 @@ derived from the config seeds, and folds run serially in fold order.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import asdict, dataclass
@@ -51,7 +50,7 @@ import numpy as np
 from . import classify, regress
 from .config import PipelineConfig
 from .dataset import Bout, Corpus, loso_folds
-from .errors import EvaluationError, SummertimeError
+from .errors import EvaluationError, SummertimeError, write_csv
 from .features import WindowFeatures, featurize_corpus, stack_features
 from .reference import reference_panel
 from .summarize import SummaryVector, summarize_corpus, summary_matrix
@@ -543,17 +542,16 @@ def write_report_files(comparison: dict, out_dir: str | Path) -> list[Path]:
 
     for method, payload in comparison["methods"].items():
         confusion = zip(labels, payload["confusion"], payload["recall_per_class"])
-        rmse_rows = zip(labels, payload["rmse_per_class"])
+        rmse = zip([*labels, "overall"],
+                   [*payload["rmse_per_class"], payload["rmse_overall"]])
         tables = {
-            f"confusion_{method}.csv": [["actual", *labels, "recall"], *(
+            f"confusion_{method}.csv": (["actual", *labels, "recall"], (
                 [label, *(str(int(v)) for v in row), cell(recall)]
-                for label, row, recall in confusion)],
-            f"rmse_{method}.csv": [["class", "rmse_met"], *(
-                [label, cell(value)] for label, value in rmse_rows),
-                ["overall", cell(payload["rmse_overall"])]],
+                for label, row, recall in confusion)),
+            f"rmse_{method}.csv": (["class", "rmse_met"], (
+                [label, cell(value)] for label, value in rmse)),
         }
-        for name, rows in tables.items():
-            with open(out / name, "w", newline="", encoding="utf-8") as fh:
-                csv.writer(fh, lineterminator="\n").writerows(rows)
+        for name, (header, rows) in tables.items():
+            write_csv(out / name, header, rows)
             written.append(out / name)
     return written

@@ -14,7 +14,6 @@ and so on, giving ``6 * A`` columns (18 for a triaxial device).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Bout, Corpus, DEFAULT_WINDOW_LENGTH
+from .errors import write_csv
 
 PERCENTILE_FRACTIONS = (0.10, 0.25, 0.50, 0.75, 0.90)
 STAT_NAMES = ("p10", "p25", "p50", "p75", "p90", "ac1")
@@ -129,18 +129,13 @@ def stack_features(features: Sequence[WindowFeatures]) -> np.ndarray:
     return np.vstack([f.matrix for f in features])
 
 
-def write_features_csv(features: Sequence[WindowFeatures], path: str | Path,
-                       axis_count: int) -> None:
+def write_features_csv(features: Sequence[WindowFeatures], path: str | Path) -> None:
     """Tabular export: one row per window with bout provenance and target."""
-    names = feature_names(axis_count)
-    with open(Path(path), "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bout_id", "subject_id", "label", "window"] + names + ["met"])
-        for feat in features:
-            for w in range(feat.window_count):
-                met = "" if feat.targets is None else repr(float(feat.targets[w]))
-                writer.writerow(
-                    [feat.bout_id, feat.subject_id, feat.activity_class, str(w)]
-                    + [repr(float(v)) for v in feat.matrix[w]]
-                    + [met]
-                )
+    if not features:
+        raise ValueError("no window features to write")
+    names = feature_names(features[0].matrix.shape[1] // len(STAT_NAMES))
+    write_csv(path, ["bout_id", "subject_id", "label", "window", *names, "met"], (
+        [feat.bout_id, feat.subject_id, feat.activity_class, str(w),
+         *(repr(float(v)) for v in feat.matrix[w]),
+         "" if feat.targets is None else repr(float(feat.targets[w]))]
+        for feat in features for w in range(feat.window_count)))

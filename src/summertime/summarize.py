@@ -9,13 +9,13 @@ labelled with one ``assign`` call over all of its windows.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .errors import write_csv
 from .features import WindowFeatures, stack_features
 from .vbgmm import MixtureModel, assign
 
@@ -105,11 +105,8 @@ def write_summaries_csv(summaries: Sequence[SummaryVector], path: str | Path) ->
     if not summaries:
         raise ValueError("no summaries to write")
     k = _summary_length(summaries)
-    with open(Path(path), "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bout_id", "subject_id", "label", "windows"]
-                        + [f"cluster{j}" for j in range(k)])
-        for s in summaries:
-            writer.writerow([s.bout_id, s.subject_id, s.activity_class,
-                             str(s.window_count)]
-                            + [repr(float(v)) for v in s.ratios])
+    write_csv(path, ["bout_id", "subject_id", "label", "windows",
+                     *(f"cluster{j}" for j in range(k))], (
+        [s.bout_id, s.subject_id, s.activity_class, str(s.window_count),
+         *(repr(float(v)) for v in s.ratios)]
+        for s in summaries))

@@ -211,12 +211,10 @@ def component_log_scores(model: MixtureModel, data: np.ndarray) -> np.ndarray:
     return np.log(model.weights) - 0.5 * (model.dim * LOG_2PI + log_dets + quad)
 
 
-def _softmax_rows(log_weights: np.ndarray, out: np.ndarray | None = None,
-                  row: np.ndarray | None = None) -> np.ndarray:
-    """Normalize each row of log weights to probabilities, into ``out`` if
-    given; ``row`` is an (N, 1) scratch buffer."""
-    row = np.maximum.reduce(log_weights, axis=1, keepdims=True, out=row)
-    out = np.exp(np.subtract(log_weights, row, out=out), out=out)
+def _softmax_rows(log_weights: np.ndarray) -> np.ndarray:
+    """Normalize each row of log weights to probabilities."""
+    row = np.maximum.reduce(log_weights, axis=1, keepdims=True)
+    out = np.exp(log_weights - row)
     return np.divide(out, np.add.reduce(out, axis=1, keepdims=True, out=row), out=out)
 
 

@@ -588,6 +588,19 @@ def test_serialization_rejects_foreign_payloads(tmp_path):
         load_model(path)
 
 
+def test_a_linear_head_with_class_labels_is_rejected(tmp_path):
+    linear = {"format": "mlp", "version": 1, "head": "linear", "class_labels": ["a", "b"],
+              "w1": np.zeros((2, 3)).tolist(), "b1": [0.0] * 3,
+              "w2": np.zeros((3, 1)).tolist(), "b2": [0.0]}
+    with pytest.raises(ValueError, match="^linear head takes no class labels$"):
+        model_from_dict(linear)
+    path = tmp_path / "mlp.json"
+    path.write_text(json.dumps(linear))
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    assert str(info.value) == f"{path}: linear head takes no class labels"
+
+
 def test_model_dict_survives_json():
     rng = np.random.default_rng(41)
     x, labels = separable_data(rng, n_per=8)

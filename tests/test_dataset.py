@@ -184,6 +184,20 @@ def test_save_rejects_a_target_count_other_than_the_window_count(tmp_path, targe
     assert not (tmp_path / "c").exists()
 
 
+@pytest.mark.parametrize("bout_id", ["manifest", "a/b", "../x"])
+def test_save_rejects_a_bout_id_that_makes_no_plain_file_name(tmp_path, bout_id):
+    """Bout ids name their files, so one that would overwrite the manifest or
+    leave the directory fails before anything is written."""
+    bouts = tuple(Bout(b, "s1", "Sed", np.ones((12, 1))) for b in ("b0", bout_id))
+    corpus = Corpus(bouts=bouts, axis_count=1, label_set=("Sed", "Run"))
+    with pytest.raises(ValueError) as info:
+        save_corpus(corpus, tmp_path)
+    assert str(info.value) == (f"bout {bout_id!r}: {bout_id + '.csv'!r} is not a plain "
+                               f"file name other than manifest.csv")
+    assert list(tmp_path.iterdir()) == []
+    assert not (tmp_path.parent / "x.csv").exists()
+
+
 def test_load_accepts_manifest_path_directly(tmp_path):
     corpus = small_corpus()
     save_corpus(corpus, tmp_path / "c")
@@ -245,6 +259,30 @@ def test_load_reports_file_and_line_for_bad_manifest(tmp_path):
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorpusLoadError, match=r"manifest\.csv:3"):
         load_corpus(tmp_path / "c", window_length=12)
+
+
+def test_load_names_the_line_a_manifest_row_starts_on(tmp_path):
+    """A quoted bout id spanning lines 2-3 moves the bad row to line 5."""
+    save_corpus(small_corpus(), tmp_path / "c")
+    manifest = tmp_path / "c" / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    lines[1] = '"s1\nSed"' + lines[1][len("s1_Sed"):]
+    lines[3] = "only,three,cells"
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusLoadError) as info:
+        load_corpus(tmp_path / "c", window_length=12)
+    assert str(info.value) == f"{manifest}:5: expected 4 cells, got 3"
+
+
+@pytest.mark.parametrize("name, what", [("manifest.csv", "manifest"),
+                                        ("s1_Sed.csv", "bout file")])
+def test_load_rejects_an_empty_file_by_name(tmp_path, name, what):
+    save_corpus(small_corpus(), tmp_path / "c")
+    path = tmp_path / "c" / name
+    path.write_text("")
+    with pytest.raises(CorpusLoadError) as info:
+        load_corpus(tmp_path / "c", window_length=12)
+    assert str(info.value) == f"{path}: empty {what}"
 
 
 @pytest.mark.parametrize("sidecar", [True, False], ids=["with_provenance", "without"])
@@ -332,6 +370,32 @@ def test_load_names_the_first_line_of_a_window_without_a_met_value(tmp_path):
     with pytest.raises(CorpusLoadError) as info:
         load_corpus(tmp_path / "c", window_length=12)
     assert str(info.value) == f"{data_file}:14: window 1 has no met value"
+
+
+def test_a_blank_line_moves_the_line_named_for_a_window(tmp_path):
+    """After a blank line 6, window 1's first row is line 15."""
+    save_corpus(small_corpus(), tmp_path / "c")
+    data_file = tmp_path / "c" / "s1_Sed.csv"
+    lines = data_file.read_text().splitlines()
+    lines[13] = lines[13].rsplit(",", 1)[0] + ","
+    lines.insert(5, "")
+    data_file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusLoadError) as info:
+        load_corpus(tmp_path / "c", window_length=12)
+    assert str(info.value) == f"{data_file}:15: window 1 has no met value"
+
+
+def test_load_reports_the_first_bad_line_of_a_bout_file(tmp_path):
+    """A non-numeric cell on line 5 is named before a wrong width on line 9."""
+    save_corpus(small_corpus(), tmp_path / "c")
+    data_file = tmp_path / "c" / "s1_Sed.csv"
+    lines = data_file.read_text().splitlines()
+    lines[4] = lines[4].split(",", 1)[0] + ",x," + lines[4].split(",", 2)[2]
+    lines[8] = "8,1"
+    data_file.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusLoadError) as info:
+        load_corpus(tmp_path / "c", window_length=12)
+    assert str(info.value) == f"{data_file}:5: non-numeric value 'x'"
 
 
 def test_load_reads_met_repeated_on_every_row_of_its_window(tmp_path):

@@ -17,6 +17,7 @@ from summertime.features import (
     segment,
     stack_features,
     window_matrix,
+    write_features_csv,
 )
 
 # Short, default and long window lengths, odd and even.
@@ -172,6 +173,18 @@ def test_stack_features_concatenates_in_order():
     assert stacked.shape == (6, 12)
     np.testing.assert_array_equal(stacked[:2], feats[0].matrix)
     np.testing.assert_array_equal(stacked[4:], feats[2].matrix)
+
+
+def test_features_csv_header_matches_its_rows(tmp_path):
+    """The header names one column per cell of a 2-axis corpus's rows."""
+    rng = np.random.default_rng(2)
+    bouts = [Bout(f"b{i}", "s1", "Sed", rng.normal(size=(30, 2)), np.ones(2))
+             for i in range(2)]
+    path = tmp_path / "features.csv"
+    write_features_csv([featurize_bout(b, 12) for b in bouts], path)
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    assert header[4:-1] == feature_names(2)
+    assert len(rows) == 4 and {len(row) for row in rows} == {len(header)} == {17}
 
 
 def test_featurized_default_corpus_is_pinned():
