@@ -49,13 +49,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (FitError, load_payload, reading_payload, require_count,
-                     require_finite, save_payload)
+from .errors import FitError, reading_payload, require_count, require_finite
 from .vbgmm import Standardizer, _softmax_rows
 
 # train_mlp's hidden width and weight decay.  The summaries feed one fixed
@@ -528,11 +526,3 @@ def model_from_dict(payload: dict) -> MlpModel:
             training_log=tuple(payload.get("training_log", ())),
             seed=payload.get("seed"),
         )
-
-
-def save_model(model: MlpModel, path: str | Path) -> None:
-    save_payload(model_to_dict(model), path)
-
-
-def load_model(path: str | Path) -> MlpModel:
-    return load_payload(path, model_from_dict)

@@ -13,15 +13,16 @@ import logging
 import sys
 from pathlib import Path
 
-from . import classify, regress, vbgmm
+from . import regress, vbgmm
 from .config import (METHOD_NAMES, PipelineConfig, apply_overrides, load_config)
 from .dataset import Corpus, generate_synthetic, load_corpus, save_corpus
 from .errors import (ConfigError, ConsistencyError, CorpusLoadError,
-                     EvaluationError, FitError, SummertimeError)
+                     EvaluationError, FitError, SummertimeError, load_payload,
+                     save_payload)
 from .evaluate import (FittedPipeline, compare_methods, fit_pipeline,
                        write_report_files)
 from .features import featurize_corpus, stack_features, write_features_csv
-from .summarize import summarize_corpus, write_summaries_csv
+from .summarize import SummaryVector, summarize_corpus, write_summaries_csv
 
 log = logging.getLogger(__name__)
 
@@ -67,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     summ = commands.add_parser("summarize", parents=[shared],
                                help="write per-bout cluster-ratio summaries")
     summ.add_argument("--model", metavar="PATH",
-                      help="fitted mixture file (default OUT/model_gmm.json)")
+                      help="fitted pipeline file, whose mixture is used "
+                           "(default OUT/model_pipeline.json)")
     summ.set_defaults(handler=cmd_summarize)
 
     ev = commands.add_parser("evaluate", parents=[shared],
@@ -109,21 +111,20 @@ def _obtain_corpus(config: PipelineConfig) -> Corpus:
 
 
 def _fit_and_save(corpus: Corpus, config: PipelineConfig
-                  ) -> tuple[FittedPipeline, Path]:
-    """Fit every stage on the whole corpus and write the three model files."""
+                  ) -> tuple[FittedPipeline, list[SummaryVector], Path]:
+    """Fit every stage on the whole corpus and write the pipeline file;
+    returns the pipeline, the corpus's summaries and the output directory."""
     features = featurize_corpus(corpus, config.window_length)
     log.info("fitting mixture on %d windows", sum(f.window_count for f in features))
     mixture = vbgmm.fit_mixture(stack_features(features), settings=config.gmm,
                                 seed=config.gmm.seed)
-    fitted = fit_pipeline(features, corpus.label_set, config, mixture,
-                          config.mlp.seed)
+    fitted, summaries = fit_pipeline(features, corpus.label_set, config, mixture,
+                                     config.mlp.seed)
     log.info("mixture kept %d components", fitted.mixture.component_count)
     out = Path(config.io.out)
     out.mkdir(parents=True, exist_ok=True)
-    vbgmm.save_model(fitted.mixture, out / "model_gmm.json")
-    classify.save_model(fitted.classifier, out / "model_mlp.json")
-    regress.save_suite(fitted.suite, out / "model_regression.json")
-    return fitted, out
+    save_payload(fitted.to_dict(), out / "model_pipeline.json")
+    return fitted, summaries, out
 
 
 def _echo_comparison(comparison: dict) -> None:
@@ -162,7 +163,7 @@ def cmd_featurize(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def cmd_fit(args: argparse.Namespace, config: PipelineConfig) -> int:
-    fitted, out = _fit_and_save(_obtain_corpus(config), config)
+    fitted, _, out = _fit_and_save(_obtain_corpus(config), config)
     print(f"fitted {fitted.mixture.component_count} mixture components; "
           f"models written to {out}")
     return 0
@@ -171,10 +172,10 @@ def cmd_fit(args: argparse.Namespace, config: PipelineConfig) -> int:
 def cmd_summarize(args: argparse.Namespace, config: PipelineConfig) -> int:
     corpus = _obtain_corpus(config)
     out = Path(config.io.out)
-    model_path = Path(args.model) if args.model else out / "model_gmm.json"
+    model_path = Path(args.model) if args.model else out / "model_pipeline.json"
     if not model_path.is_file():
-        raise FitError(f"fitted mixture not found at {model_path}; run fit first")
-    mixture = vbgmm.load_model(model_path)
+        raise FitError(f"fitted pipeline not found at {model_path}; run fit first")
+    mixture = load_payload(model_path, FittedPipeline.from_dict).mixture
     features = featurize_corpus(corpus, config.window_length)
     summaries = summarize_corpus(mixture, features)
     out.mkdir(parents=True, exist_ok=True)
@@ -197,8 +198,8 @@ def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 def cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
     corpus = _obtain_corpus(config)
-    fitted, out = _fit_and_save(corpus, config)
-    write_summaries_csv(fitted.summaries, out / "summaries.csv")
+    _, summaries, out = _fit_and_save(corpus, config)
+    write_summaries_csv(summaries, out / "summaries.csv")
     comparison = compare_methods(corpus, config.evaluation.methods, config)
     write_report_files(comparison, out)
     _echo_comparison(comparison)

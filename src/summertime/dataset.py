@@ -150,6 +150,12 @@ def _bout_rows(bout: Bout, window_length: int) -> Iterator[list[str]]:
         yield row
 
 
+def _is_bout_file_name(name: str) -> bool:
+    """Whether ``name`` names a file in the corpus directory other than the
+    manifest: no directory part, not absolute, not empty and not ``..``."""
+    return name not in ("", "..", MANIFEST_NAME) and Path(name).name == name
+
+
 def save_corpus(corpus: Corpus, path: str | Path,
                 window_length: int = DEFAULT_WINDOW_LENGTH) -> None:
     """Write ``corpus`` under directory ``path`` in the canonical layout.
@@ -165,7 +171,7 @@ def save_corpus(corpus: Corpus, path: str | Path,
             raise ValueError(f"bout {bout.bout_id!r}: {windows} windows of {window_length} "
                              f"samples but {len(bout.targets)} targets")
         name = f"{bout.bout_id}.csv"
-        if name == MANIFEST_NAME or Path(name).name != name:
+        if not _is_bout_file_name(name):
             raise ValueError(f"bout {bout.bout_id!r}: {name!r} is not a plain file name "
                              f"other than {MANIFEST_NAME}")
     root = Path(path)
@@ -202,18 +208,25 @@ def _read_csv(path: Path,
               what: str) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
     """The header of a corpus CSV file and its nonblank rows, each paired
     with the line it starts on; a quoted cell may span lines.  An empty file
-    raises CorpusLoadError naming ``what`` it should hold."""
+    raises CorpusLoadError naming ``what`` it should hold, and a row the csv
+    module cannot read (a cell past its field limit) one naming the line."""
     reader = csv.reader(_open_text(path))
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise CorpusLoadError(f"{path}:1: {exc}") from None
     if header is None:
         raise CorpusLoadError(f"{path}: empty {what}")
 
     def rows() -> Iterator[tuple[int, list[str]]]:
         start = reader.line_num + 1
-        for row in reader:
-            if any(cell.strip() for cell in row):
-                yield start, row
-            start = reader.line_num + 1
+        try:
+            for row in reader:
+                if any(cell.strip() for cell in row):
+                    yield start, row
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise CorpusLoadError(f"{path}:{start}: {exc}") from None
 
     return header, rows()
 
@@ -336,7 +349,11 @@ def load_corpus(path: str | Path,
     for line, row in rows:
         if len(row) != 4:
             raise CorpusLoadError(f"{manifest}:{line}: expected 4 cells, got {len(row)}")
-        entries.append((line, *[cell.strip() for cell in row]))
+        cells = [cell.strip() for cell in row]
+        if not _is_bout_file_name(cells[3]):
+            raise CorpusLoadError(f"{manifest}:{line}: file {cells[3]!r} is not a plain "
+                                  f"file name other than {MANIFEST_NAME}")
+        entries.append((line, *cells))
     if not entries:
         raise CorpusLoadError(f"{manifest}: manifest lists no bouts")
 

@@ -28,10 +28,11 @@ for all five methods, beside the bout's actual MET.
 The ``summertime`` runner fits the mixture with ``fit_mixture`` and the rest
 of the pipeline with ``fit_pipeline``, as the CLI's whole-corpus fit does,
 and labels its test bouts with ``FittedPipeline.predict``, the one
-summarize -> classify -> regress chain.  The four voting baselines share one
-runner and differ only in their MET estimator; they record no facts.  Each
-report's ``regression_modes`` is read from the facts of the ``summertime``
-folds (see ``_run_summertime``).
+summarize -> classify -> regress chain; its ``to_dict`` is the CLI's one model
+file, ``model_pipeline.json``, which ``from_dict`` reads back whole.  The four
+voting baselines share one runner and differ only in their MET estimator; they
+record no facts.  Each report's ``regression_modes`` is read from the facts
+of the ``summertime`` folds (see ``_run_summertime``).
 
 Reports are deterministic functions of (corpus, config): per-fold seeds are
 derived from the config seeds, and folds run serially in fold order.
@@ -47,10 +48,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import classify, regress
+from . import classify, regress, vbgmm
 from .config import PipelineConfig
 from .dataset import Bout, Corpus, loso_folds
-from .errors import EvaluationError, SummertimeError, write_csv
+from .errors import EvaluationError, SummertimeError, reading_payload, write_csv
 from .features import WindowFeatures, featurize_corpus, stack_features
 from .reference import reference_panel
 from .summarize import SummaryVector, summarize_corpus, summary_matrix
@@ -173,12 +174,39 @@ class EvaluationReport:
 
 @dataclass(frozen=True)
 class FittedPipeline:
-    """Every trained stage of the summary pipeline, fitted on one training set."""
+    """Every trained stage of the summary pipeline, fitted on one training set;
+    ``to_dict`` is the one model file.  Construction checks the stages fit."""
 
     mixture: MixtureModel
-    summaries: list[SummaryVector]  # of the training bouts, in their order
     classifier: classify.MlpModel
     suite: regress.RegressionSuite
+
+    def __post_init__(self):
+        k = self.mixture.component_count
+        if self.classifier.input_dim != k:
+            raise ValueError(f"classifier takes {self.classifier.input_dim} inputs, "
+                             f"mixture has {k} components")
+        if self.classifier.class_labels != self.suite.class_labels:
+            raise ValueError(f"classifier labels {list(self.classifier.class_labels)} "
+                             f"differ from regression suite labels "
+                             f"{list(self.suite.class_labels)}")
+        shape = (self.suite.feature_dim, self.suite.summary_dim)
+        if shape != (self.mixture.dim, k):
+            raise ValueError(f"regression suite has (feature_dim, summary_dim) {shape}, "
+                             f"mixture has {(self.mixture.dim, k)}")
+
+    def to_dict(self) -> dict:
+        return {"format": "pipeline", "version": 1,
+                "mixture": vbgmm.model_to_dict(self.mixture),
+                "classifier": classify.model_to_dict(self.classifier),
+                "regression": regress.suite_to_dict(self.suite)}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "FittedPipeline":
+        with reading_payload(payload, "pipeline", "pipeline"):
+            return cls(vbgmm.model_from_dict(payload["mixture"]),
+                       classify.model_from_dict(payload["classifier"]),
+                       regress.suite_from_dict(payload["regression"]))
 
     def predict(self, feats: Sequence[WindowFeatures]
                 ) -> tuple[list[tuple[str, np.ndarray]], list[SummaryVector]]:
@@ -197,10 +225,10 @@ class FittedPipeline:
 
 def fit_pipeline(train_feats: Sequence[WindowFeatures], labels: tuple[str, ...],
                  config: PipelineConfig, mixture: MixtureModel,
-                 classifier_seed: int) -> FittedPipeline:
+                 classifier_seed: int) -> tuple[FittedPipeline, list[SummaryVector]]:
     """Summarize the training bouts with a fitted mixture, train the summary
     classifier and fit the per-class regression suite on summary-augmented
-    designs.
+    designs; returns the pipeline and the training bouts' summaries.
 
     The CLI fits the whole corpus with the config seeds; the ``summertime``
     method fits each LOSO fold's training set with that fold's seeds.  Both
@@ -215,7 +243,7 @@ def fit_pipeline(train_feats: Sequence[WindowFeatures], labels: tuple[str, ...],
         seed=classifier_seed,
     )
     suite = regress.fit_regression_suite(train_feats, summaries, labels)
-    return FittedPipeline(mixture, summaries, classifier, suite)
+    return FittedPipeline(mixture, classifier, suite), summaries
 
 
 # --------------------------------------------------------------------------
@@ -257,11 +285,12 @@ def _run_summertime(train_feats: list[WindowFeatures],
     lose."""
     mixture = fit_mixture(stack_features(train_feats), settings=config.gmm,
                           seed=seeds.mixture)
-    fitted = fit_pipeline(train_feats, labels, config, mixture, seeds.classifier)
+    fitted, train_sums = fit_pipeline(train_feats, labels, config, mixture,
+                                      seeds.classifier)
     predictions, test_sums = fitted.predict(test_feats)
     suites = (fitted.suite, regress.fit_regression_suite(train_feats, None, labels))
     facts = {"train": [], "test": []}
-    for split, feats, sums in (("train", train_feats, fitted.summaries),
+    for split, feats, sums in (("train", train_feats, train_sums),
                                ("test", test_feats, test_sums)):
         for feat, summary in zip(feats, sums):
             if feat.targets is not None:

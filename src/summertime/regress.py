@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import FitError, load_payload, reading_payload, require_finite, save_payload
+from .errors import FitError, reading_payload, require_finite
 from .features import WindowFeatures
 from .summarize import SummaryVector
 
@@ -258,11 +257,3 @@ def suite_from_dict(payload: dict) -> RegressionSuite:
             feature_dim=payload["feature_dim"],
             summary_dim=payload["summary_dim"],
         )
-
-
-def save_suite(suite: RegressionSuite, path: str | Path) -> None:
-    save_payload(suite_to_dict(suite), path)
-
-
-def load_suite(path: str | Path) -> RegressionSuite:
-    return load_payload(path, suite_from_dict)

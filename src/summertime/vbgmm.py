@@ -2,21 +2,25 @@
 
 Coordinate-ascent inference for a mixture with a symmetric Dirichlet prior on
 the weights and independent Gaussian-Wishart priors on each component's mean
-and precision.  Fitting starts from a generous component budget, and one
-rule decides the component count: a component whose expected count N_k is
+and precision.  Fitting starts from a generous component budget, and the
+variational posterior decides the component count: the expected counts N_k
+of surplus components fall below 1e-8 on their own, where maximum-likelihood
+EM from the same start keeps every component.  A component whose N_k is
 below a tenth of one point is empty.  After each E-step every empty
 component leaves the fit, the remaining responsibilities are renormalized,
 and later iterations update, score and bound the live components only; the
-bound has stayed nondecreasing across every prune measured.  The fitted
-model keeps the components of the last posterior that are not empty.
+bound has stayed nondecreasing across every prune measured.  So the prune
+removes only components the posterior has already emptied: a threshold of
+1e-8 keeps the same count as 0.1.  The fitted model keeps the components of
+the last posterior that are not empty.
 
 Fitting runs in z-scored feature space under one fixed prior: a symmetric
 Dirichlet with concentration ``PRIOR_ALPHA0`` on the weights, and per
 component a Gaussian-Wishart with mean zero, precision scale
 ``PRIOR_BETA0``, identity Wishart scale and D + 1 degrees of freedom.  The
-prior is not a setting because the prune, not the prior, decides the count:
-on the default corpus every Dirichlet concentration from 1e-3 to 100 keeps
-the same count; the convergence test ``CONVERGENCE_TOL`` is fixed too.  Each
+prior is not a setting because the count does not hang on it: on the
+default corpus every Dirichlet concentration from 1e-3 to 100 keeps the
+same count; the convergence test ``CONVERGENCE_TOL`` is fixed too.  Each
 iteration's posterior is the conjugate update for the current
 responsibilities, so the objective needs no expectations: it is the bound's
 closed form at that posterior, normalizer ratios plus the entropy of the
@@ -38,13 +42,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy.special import digamma, gammaln, logsumexp
 
-from .errors import (ConsistencyError, FitError, load_payload, reading_payload,
-                     require_count, require_finite, save_payload)
+from .errors import (ConsistencyError, FitError, reading_payload, require_count,
+                     require_finite)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -501,11 +504,3 @@ def model_from_dict(payload: dict) -> MixtureModel:
             elbo_trace=tuple(payload.get("elbo_trace", ())),
             seed=payload.get("seed"),
         )
-
-
-def save_model(model: MixtureModel, path: str | Path) -> None:
-    save_payload(model_to_dict(model), path)
-
-
-def load_model(path: str | Path) -> MixtureModel:
-    return load_payload(path, model_from_dict)

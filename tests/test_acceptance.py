@@ -361,8 +361,8 @@ def fit_em_mixture(data, seed):
         nk = resp.sum(axis=0)
         means = (resp.T @ z) / nk[:, None]
         diffs = z[None, :, :] - means[:, None, :]
-        covs = (np.einsum("nk,kni,knj->kij", resp, diffs, diffs) / nk[:, None, None]
-                + 1e-6 * np.eye(dim))
+        covs = (np.matmul((resp.T[:, :, None] * diffs).transpose(0, 2, 1), diffs)
+                / nk[:, None, None] + 1e-6 * np.eye(dim))
         model = MixtureModel(weights=nk / nk.sum(), means=standardizer.inverse(means),
                              covariances=covs * scale, standardizer=standardizer)
         scores = component_log_scores(model, data)
@@ -378,7 +378,7 @@ def fit_em_mixture(data, seed):
 def em_runner(train_feats, test_feats, config, seeds, labels):
     """The ``summertime`` chain with the EM mixture in place of the VB fit."""
     mixture = fit_em_mixture(stack_features(train_feats), seeds.mixture)
-    fitted = fit_pipeline(train_feats, labels, config, mixture, seeds.classifier)
+    fitted, _ = fit_pipeline(train_feats, labels, config, mixture, seeds.classifier)
     return FoldResult(fitted.predict(test_feats)[0])
 
 

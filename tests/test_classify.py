@@ -15,17 +15,15 @@ from summertime.classify import (
     MlpSettings,
     _init_params,
     classify_bout_voting,
-    load_model,
     loss_and_gradients,
     model_from_dict,
     model_to_dict,
     predict_class,
     predict_probabilities,
     predict_values,
-    save_model,
     train_mlp,
 )
-from summertime.errors import FitError
+from summertime.errors import FitError, load_payload, save_payload
 from summertime.vbgmm import Standardizer
 
 
@@ -428,7 +426,7 @@ def test_repeated_class_label_is_an_error(tmp_path):
     path = tmp_path / "mlp.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError) as caught:
-        load_model(path)
+        load_payload(path, model_from_dict)
     assert str(caught.value) == f"{path}: class label 'a' is repeated"
 
 
@@ -540,8 +538,8 @@ def test_serialization_round_trip(tmp_path):
                       settings=MlpSettings(epochs=25), seed=5,
                       standardize_inputs=True)
     path = tmp_path / "mlp.json"
-    save_model(model, path)
-    loaded = load_model(path)
+    save_payload(model_to_dict(model), path)
+    loaded = load_payload(path, model_from_dict)
     probe = rng.normal(size=(20, 2))
     np.testing.assert_allclose(
         predict_probabilities(loaded, probe), predict_probabilities(model, probe),
@@ -585,7 +583,7 @@ def test_serialization_rejects_foreign_payloads(tmp_path):
     path = tmp_path / "mlp.json"
     path.write_text('{"format": "mlp", "version": 1}')
     with pytest.raises(ValueError, match=r"mlp\.json: .* no key 'w1'"):
-        load_model(path)
+        load_payload(path, model_from_dict)
 
 
 def test_a_linear_head_with_class_labels_is_rejected(tmp_path):
@@ -597,7 +595,7 @@ def test_a_linear_head_with_class_labels_is_rejected(tmp_path):
     path = tmp_path / "mlp.json"
     path.write_text(json.dumps(linear))
     with pytest.raises(ValueError) as info:
-        load_model(path)
+        load_payload(path, model_from_dict)
     assert str(info.value) == f"{path}: linear head takes no class labels"
 
 

@@ -1,16 +1,18 @@
 """Command-line surface: subcommands, overrides, exit codes, determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from summertime import classify, regress, vbgmm
+from summertime import regress, vbgmm
 from summertime.cli import _build_parser, _resolve_config, main
-from summertime.config import load_config
+from summertime.config import config_from_dict
 from summertime.dataset import generate_synthetic
-from summertime.evaluate import fit_pipeline
+from summertime.errors import load_payload, save_payload
+from summertime.evaluate import FittedPipeline, fit_pipeline
 from summertime.features import featurize_corpus, stack_features
 
 SMALL = {
@@ -68,8 +70,7 @@ def test_fit_then_summarize_round_trip(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
-    for name in ("model_gmm.json", "model_mlp.json", "model_regression.json"):
-        assert (out / name).is_file(), name
+    assert sorted(p.name for p in out.glob("model_*")) == ["model_pipeline.json"]
     assert main(["summarize", "--config", cfg, "--out", str(out)]) == 0
     lines = (out / "summaries.csv").read_text().splitlines()
     k = len(lines[0].split(",")) - 4
@@ -79,28 +80,34 @@ def test_fit_then_summarize_round_trip(tmp_path):
     np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-9)
 
 
-def test_fit_writes_the_models_of_the_in_process_pipeline(tmp_path):
-    cfg = write_config(tmp_path)
-    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "cli")]) == 0
-    config = load_config(cfg)
+@pytest.fixture(scope="module")
+def small_fit():
+    """The whole-corpus pipeline of the SMALL corpus, its training summaries
+    and the corpus's features, fitted in process as ``fit`` fits them."""
+    config = config_from_dict(SMALL)
     corpus = generate_synthetic(config.synthetic.generator_config(config.window_length),
                                 config.synthetic.seed)
     feats = featurize_corpus(corpus, config.window_length)
     mixture = vbgmm.fit_mixture(stack_features(feats), settings=config.gmm,
                                 seed=config.gmm.seed)
-    fitted = fit_pipeline(feats, corpus.label_set, config, mixture, config.mlp.seed)
+    return (*fit_pipeline(feats, corpus.label_set, config, mixture, config.mlp.seed),
+            feats)
+
+
+def test_fit_writes_the_models_of_the_in_process_pipeline(tmp_path, small_fit):
+    cfg = write_config(tmp_path)
+    assert main(["fit", "--config", cfg, "--out", str(tmp_path / "cli")]) == 0
+    fitted, train_sums, feats = small_fit
     mine = tmp_path / "in_process"
     mine.mkdir()
-    vbgmm.save_model(fitted.mixture, mine / "model_gmm.json")
-    classify.save_model(fitted.classifier, mine / "model_mlp.json")
-    regress.save_suite(fitted.suite, mine / "model_regression.json")
+    save_payload(fitted.to_dict(), mine / "model_pipeline.json")
     assert read_tree(tmp_path / "cli") == read_tree(mine)
     predictions, summaries = fitted.predict(feats)
-    assert len(predictions) == len(corpus.bouts)
+    assert len(predictions) == len(feats) == 15
     assert ([(s.bout_id, s.activity_class, s.window_count, s.ratios.tolist())
              for s in summaries]
             == [(s.bout_id, s.activity_class, s.window_count, s.ratios.tolist())
-                for s in fitted.summaries])
+                for s in train_sums])
 
 
 def test_summarize_without_model_fails_cleanly(tmp_path, capsys):
@@ -109,31 +116,82 @@ def test_summarize_without_model_fails_cleanly(tmp_path, capsys):
     assert code == 1
     assert "run fit first" in capsys.readouterr().err
     model = tmp_path / "m.json"
-    model.write_text('{"format": "vbgmm", "version": 1}')
+    model.write_text('{"format": "pipeline", "version": 1, "mixture": '
+                     '{"format": "vbgmm", "version": 1}}')
     code = main(["summarize", "--config", cfg, "--model", str(model),
                  "--out", str(tmp_path / "empty")])
     assert code == 1
     err = capsys.readouterr().err
     assert f"{model}: mixture model payload has no key 'standardizer'" in err
-    model.write_text(json.dumps({
+    model.write_text(json.dumps({"format": "pipeline", "version": 1, "mixture": {
         "format": "vbgmm", "version": 1, "weights": [1.0], "means": [[0.0]],
         "covariances": [[[1.0]]], "standardizer": [],
-    }))
+    }}))
     code = main(["summarize", "--config", cfg, "--model", str(model),
                  "--out", str(tmp_path / "empty")])
     assert code == 1
     err = capsys.readouterr().err
     assert f"{model}: mixture model payload has a value of the wrong type" in err
     dim = 18  # 6 features per axis, 3 axes
-    model.write_text(json.dumps({
+    model.write_text(json.dumps({"format": "pipeline", "version": 1, "mixture": {
         "format": "vbgmm", "version": 1, "weights": [float("nan")] * 2,
         "means": [[0.0] * dim] * 2, "covariances": [np.eye(dim).tolist()] * 2,
         "standardizer": {"mean": [0.0] * dim, "std": [1.0] * dim},
-    }))
+    }}))
     code = main(["summarize", "--config", cfg, "--model", str(model),
                  "--out", str(tmp_path / "empty")])
     assert code == 1
     assert f"{model}: weights must be finite" in capsys.readouterr().err
+    model.write_text('{"format": "vbgmm", "version": 1}')
+    code = main(["summarize", "--config", cfg, "--model", str(model),
+                 "--out", str(tmp_path / "empty")])
+    assert code == 1
+    assert f"{model}: not a pipeline payload: format='vbgmm'" in capsys.readouterr().err
+
+
+def test_a_reloaded_pipeline_predicts_exactly_like_the_fitted_one(small_fit):
+    fitted, _, feats = small_fit
+    loaded = FittedPipeline.from_dict(json.loads(json.dumps(fitted.to_dict())))
+    (expected, _), (got, _) = fitted.predict(feats), loaded.predict(feats)
+    assert [label for label, _ in got] == [label for label, _ in expected]
+    for (_, a), (_, b) in zip(got, expected):
+        assert a.tolist() == b.tolist()
+
+
+def test_a_pipeline_whose_stages_disagree_fails_naming_both(small_fit, tmp_path, capsys):
+    fitted, _, feats = small_fit
+    payload = fitted.to_dict()
+    mixture = payload["mixture"]
+    weights = mixture["weights"][:-1]
+    fewer = {**mixture, "weights": [w / sum(weights) for w in weights],
+             "means": mixture["means"][:-1], "covariances": mixture["covariances"][:-1]}
+    k = fitted.mixture.component_count
+    classifier = payload["classifier"]
+    window_only = regress.fit_regression_suite(feats, None, fitted.suite.class_labels)
+    cases = [
+        ({**payload, "mixture": fewer},
+         f"classifier takes {k} inputs, mixture has {k - 1} components"),
+        ({**payload, "classifier": {**classifier,
+                                    "class_labels": classifier["class_labels"][::-1]}},
+         "classifier labels ['Run', 'Walk', 'MtV', 'LHH', 'Sed'] differ from "
+         "regression suite labels ['Sed', 'LHH', 'MtV', 'Walk', 'Run']"),
+        ({**payload, "regression": regress.suite_to_dict(window_only)},
+         f"regression suite has (feature_dim, summary_dim) (18, 0), "
+         f"mixture has (18, {k})"),
+    ]
+    cfg = write_config(tmp_path)
+    model = tmp_path / "pipeline.json"
+    for bad, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FittedPipeline.from_dict(bad)
+        save_payload(bad, model)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{model}: {message}')}$"):
+            load_payload(model, FittedPipeline.from_dict)
+        code = main(["summarize", "--config", cfg, "--model", str(model),
+                     "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert f"error: {model}: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_writes_reports_and_honors_methods_flag(tmp_path, capsys):
@@ -207,6 +265,25 @@ def test_missing_corpus_directory_fails_with_corpus_error(tmp_path, capsys):
                  str(tmp_path / "no_such_dir"), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "corpus loading failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [1, 4], ids=["header", "row"])
+def test_an_oversized_corpus_cell_is_a_corpus_error(tmp_path, capsys, line):
+    """A cell past the csv module's field limit fails naming its file and
+    line, not as a bare csv error."""
+    cfg = write_config(tmp_path)
+    assert main(["generate", "--config", cfg, "--out", str(tmp_path / "c")]) == 0
+    bout = tmp_path / "c" / "subj00_sed_0.csv"
+    lines = bout.read_text().splitlines()
+    cells = lines[line - 1].split(",")
+    lines[line - 1] = ",".join([cells[0], "1" * 200_000, *cells[2:]])
+    bout.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(["featurize", "--config", cfg, "--corpus", str(tmp_path / "c"),
+                 "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert (f"corpus loading failed: {bout}:{line}: field larger than field limit "
+            f"(131072)\n" in capsys.readouterr().err)
 
 
 def test_an_out_path_that_is_a_file_fails_without_a_traceback(tmp_path, capsys):

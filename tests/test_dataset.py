@@ -274,6 +274,23 @@ def test_load_names_the_line_a_manifest_row_starts_on(tmp_path):
     assert str(info.value) == f"{manifest}:5: expected 4 cells, got 3"
 
 
+@pytest.mark.parametrize("cell", ["../outside.csv", "{tmp}/outside.csv", "..", ""])
+def test_load_refuses_a_file_cell_that_is_not_a_plain_file_name(tmp_path, cell):
+    """A manifest names only files in its own directory, by the rule
+    ``save_corpus`` applies to bout ids, even where the named file would load."""
+    save_corpus(small_corpus(), tmp_path / "c")
+    (tmp_path / "outside.csv").write_bytes((tmp_path / "c" / "s1_Walk.csv").read_bytes())
+    cell = cell.format(tmp=tmp_path)
+    manifest = tmp_path / "c" / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0] + "," + cell
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(CorpusLoadError) as info:
+        load_corpus(tmp_path / "c", window_length=12)
+    assert str(info.value) == (f"{manifest}:3: file {cell!r} is not a plain file name "
+                               f"other than manifest.csv")
+
+
 @pytest.mark.parametrize("name, what", [("manifest.csv", "manifest"),
                                         ("s1_Sed.csv", "bout file")])
 def test_load_rejects_an_empty_file_by_name(tmp_path, name, what):

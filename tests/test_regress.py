@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from summertime.errors import FitError
+from summertime.errors import FitError, load_payload, save_payload
 from summertime.features import WindowFeatures
 from summertime.regress import (
     LinearModel,
@@ -15,11 +15,10 @@ from summertime.regress import (
     build_design_rows,
     fit_ols,
     fit_regression_suite,
-    load_suite,
     predict_bout_met,
     predict_windows,
-    save_suite,
     suite_from_dict,
+    suite_to_dict,
 )
 from summertime.summarize import SummaryVector
 
@@ -218,8 +217,8 @@ def test_serialization_round_trip(tmp_path):
     feats, summaries = toy_training_set(rng)
     suite = fit_regression_suite(feats, summaries, ("slow", "fast"))
     path = tmp_path / "suite.json"
-    save_suite(suite, path)
-    loaded = load_suite(path)
+    save_payload(suite_to_dict(suite), path)
+    loaded = load_payload(path, suite_from_dict)
     assert loaded.class_labels == suite.class_labels
     for a, b in zip(loaded.models, suite.models):
         np.testing.assert_allclose(a.coefficients, b.coefficients, rtol=1e-15)
@@ -266,4 +265,4 @@ def test_serialization_rejects_foreign_payloads(tmp_path):
     path = tmp_path / "suite.json"
     path.write_text('{"format": "regression_suite", "version": 1}')
     with pytest.raises(ValueError, match=r"suite\.json: .* no key 'models'"):
-        load_suite(path)
+        load_payload(path, suite_from_dict)

@@ -12,7 +12,7 @@ from scipy.stats import multivariate_normal, wishart
 
 from summertime import vbgmm
 from summertime.dataset import SyntheticConfig, generate_synthetic
-from summertime.errors import FitError
+from summertime.errors import FitError, load_payload, save_payload
 from summertime.features import WindowFeatures, featurize_corpus, stack_features
 from summertime.summarize import summarize_corpus
 from summertime.vbgmm import (
@@ -28,11 +28,9 @@ from summertime.vbgmm import (
     assign,
     component_log_scores,
     fit_mixture,
-    load_model,
     log_density,
     model_from_dict,
     model_to_dict,
-    save_model,
 )
 
 
@@ -73,6 +71,18 @@ def test_recovers_three_components_and_monotone_elbo():
         if model.component_count == 3:
             hits += 1
     assert hits >= 19
+
+
+def test_the_posterior_not_the_prune_decides_the_component_count(monkeypatch):
+    """Surplus components empty out on their own: a prune threshold of 1e-8
+    keeps the same count as the default tenth of a point."""
+    for seed in range(3):
+        data = three_blob_data(np.random.default_rng(seed))
+        counts = []
+        for threshold in (0.1, 1e-8):
+            monkeypatch.setattr(vbgmm, "EMPTY_COUNT", threshold)
+            counts.append(fit_mixture(data, FitSettings(k_max=10), seed=seed).component_count)
+        assert counts == [3, 3], f"seed {seed}: K {counts[0]} at 0.1, {counts[1]} at 1e-8"
 
 
 def test_weights_form_a_distribution_and_match_cluster_sizes():
@@ -420,8 +430,8 @@ def test_serialization_round_trip(tmp_path):
     data = three_blob_data(rng)
     model = fit_mixture(data, FitSettings(k_max=6), seed=7)
     path = tmp_path / "mix.json"
-    save_model(model, path)
-    loaded = load_model(path)
+    save_payload(model_to_dict(model), path)
+    loaded = load_payload(path, model_from_dict)
     probe = rng.normal(5.0, 10.0, size=(50, 2))
     np.testing.assert_allclose(
         log_density(loaded, probe), log_density(model, probe), rtol=1e-12
@@ -516,7 +526,7 @@ def test_an_asymmetric_covariance_is_rejected(tmp_path):
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ValueError,
                        match=f"^{re.escape(str(path))}: component 0: covariance is not symmetric$"):
-        load_model(path)
+        load_payload(path, model_from_dict)
     # Rounding-level asymmetry, relative to the component's largest entry, loads.
     model_from_dict(planar_payload([np.eye(2).tolist(),
                                     [[1e6, 0.5], [0.5 + 1e-7, 1.0]]]))
