@@ -53,7 +53,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FitError, reading_payload, require_count, require_finite
+from .errors import (FitError, reading_payload, require_count, require_finite,
+                     require_rows)
 from .vbgmm import Standardizer, _softmax_rows
 
 # train_mlp's hidden width and weight decay.  The summaries feed one fixed
@@ -423,15 +424,7 @@ def train_mlp(inputs: np.ndarray, targets: Sequence[str] | np.ndarray,
 
 
 def _prepare(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    if inputs.ndim != 2:
-        raise ValueError(f"input must be 1-d or 2-d, got shape {inputs.shape}")
-    if inputs.shape[1] != model.input_dim:
-        raise ValueError(
-            f"input has {inputs.shape[1]} features, model expects {model.input_dim}"
-        )
-    if not np.all(np.isfinite(inputs)):
-        raise ValueError("input contains non-finite values")
+    inputs = require_rows(inputs, model.input_dim)
     if model.input_standardizer is not None:
         inputs = model.input_standardizer.transform(inputs)
     return inputs

@@ -14,7 +14,8 @@ import sys
 from pathlib import Path
 
 from . import regress, vbgmm
-from .config import (METHOD_NAMES, PipelineConfig, apply_overrides, load_config)
+from .config import (FLAG_KEYS, METHOD_NAMES, PipelineConfig, apply_overrides,
+                     load_config)
 from .dataset import Corpus, generate_synthetic, load_corpus, save_corpus
 from .errors import (ConfigError, ConsistencyError, CorpusLoadError,
                      EvaluationError, FitError, SummertimeError, load_payload,
@@ -84,15 +85,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     config = load_config(args.config) if args.config else PipelineConfig()
-    return apply_overrides(
-        config,
-        seed=args.seed,
-        window_length=args.window_length,
-        methods=args.methods or None,  # --methods "" keeps the config's list
-        aggregation=args.aggregation,
-        out=args.out,
-        corpus=args.corpus,
-    )
+    flags = {flag: getattr(args, flag) for flag in FLAG_KEYS}
+    flags["methods"] = args.methods or None  # --methods "" keeps the config's list
+    return apply_overrides(config, **flags)
 
 
 def _synthesize(config: PipelineConfig) -> Corpus:
@@ -127,7 +122,11 @@ def _fit_and_save(corpus: Corpus, config: PipelineConfig
     return fitted, summaries, out
 
 
-def _echo_comparison(comparison: dict) -> None:
+def _report_comparison(corpus: Corpus, config: PipelineConfig) -> None:
+    """Compare the config's methods under LOSO, write the report files to the
+    output directory, and print each method's table and the config fingerprint."""
+    comparison = compare_methods(corpus, config.evaluation.methods, config)
+    written = write_report_files(comparison, config.io.out)
     labels = comparison["labels"]
     for method, payload in comparison["methods"].items():
         print(f"method: {method}")
@@ -141,6 +140,8 @@ def _echo_comparison(comparison: dict) -> None:
         rmse_text = "-" if overall_rmse is None else f"{overall_rmse:.4f}"
         print(f"{'overall':<10}{payload['overall_recall']:>10.4f}{rmse_text:>12}")
         print()
+    print(f"config fingerprint: {comparison['config_fingerprint']}")
+    log.info("wrote %s", ", ".join(str(p) for p in written))
 
 
 def cmd_generate(args: argparse.Namespace, config: PipelineConfig) -> int:
@@ -187,12 +188,7 @@ def cmd_summarize(args: argparse.Namespace, config: PipelineConfig) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace, config: PipelineConfig) -> int:
-    corpus = _obtain_corpus(config)
-    comparison = compare_methods(corpus, config.evaluation.methods, config)
-    written = write_report_files(comparison, config.io.out)
-    _echo_comparison(comparison)
-    print(f"config fingerprint: {comparison['config_fingerprint']}")
-    log.info("wrote %s", ", ".join(str(p) for p in written))
+    _report_comparison(_obtain_corpus(config), config)
     return 0
 
 
@@ -200,10 +196,7 @@ def cmd_run(args: argparse.Namespace, config: PipelineConfig) -> int:
     corpus = _obtain_corpus(config)
     _, summaries, out = _fit_and_save(corpus, config)
     write_summaries_csv(summaries, out / "summaries.csv")
-    comparison = compare_methods(corpus, config.evaluation.methods, config)
-    write_report_files(comparison, out)
-    _echo_comparison(comparison)
-    print(f"config fingerprint: {comparison['config_fingerprint']}")
+    _report_comparison(corpus, config)
     return 0
 
 

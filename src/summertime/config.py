@@ -3,7 +3,7 @@
 The fields of ``PipelineConfig`` are the schema: ``window_length`` plus one
 section per pipeline stage, whose messages name keys as ``section.key``.  Every
 key has a default, unknown keys are rejected by name, and command-line flags
-override file values through the same reader (``apply_overrides``).
+override the keys ``FLAG_KEYS`` names through the same reader (``apply_overrides``).
 ``fingerprint`` hashes the fully resolved config so reports can state
 exactly what produced them.
 """
@@ -15,7 +15,7 @@ import json
 import types
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Any, Literal, Sequence, get_args, get_type_hints
+from typing import Any, Literal, get_args, get_type_hints
 
 from .classify import MlpSettings
 from .dataset import DEFAULT_WINDOW_LENGTH, SyntheticConfig
@@ -27,11 +27,10 @@ METHOD_NAMES = ("summertime", "ann_voting", "linreg_local", "fivereg_ann",
                 "ann_regression")
 
 
-def _require_seed(seed: int) -> None:
-    # numpy rejects negative seeds only when a generator is built, and its
-    # message names no key.
-    if seed < 0:
-        raise ConfigError("seed must be nonnegative")
+# Each command-line flag's (section, key); section None is a top-level key.
+FLAG_KEYS = {"seed": ("synthetic", "seed"), "window_length": (None, "window_length"),
+             "methods": ("evaluation", "methods"), "aggregation": ("regression", "aggregation"),
+             "out": ("io", "out"), "corpus": ("io", "corpus")}
 
 
 @dataclass(frozen=True)
@@ -40,20 +39,12 @@ class GmmConfig(FitSettings):
 
     seed: int = 0
 
-    def validate(self) -> None:
-        super().validate()
-        _require_seed(self.seed)
-
 
 @dataclass(frozen=True)
 class MlpConfig(MlpSettings):
     """The ``mlp`` section: the optimizer settings plus the whole-corpus fit seed."""
 
     seed: int = 0
-
-    def validate(self) -> None:
-        super().validate()
-        _require_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -98,7 +89,6 @@ class SyntheticSection:
 
     def validate(self) -> None:
         SyntheticConfig(subjects=self.subjects, bouts_per_class=self.bouts_per_class).validate()
-        _require_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -127,10 +117,15 @@ class PipelineConfig:
         if self.window_length < 2:
             raise ConfigError("window_length must be >= 2")
         for name in _SECTIONS:
+            section = getattr(self, name)
             try:
-                getattr(self, name).validate()
+                section.validate()
             except (ConfigError, FitError) as exc:
                 raise ConfigError(f"{name}.{exc}") from None
+            # numpy rejects negative seeds only when a generator is built, and
+            # its message names no key.
+            if getattr(section, "seed", 0) < 0:
+                raise ConfigError(f"{name}.seed must be nonnegative")
         return self
 
     def to_dict(self) -> dict:
@@ -236,24 +231,19 @@ def load_config(path: str | Path) -> PipelineConfig:
     return config_from_dict(payload)
 
 
-def apply_overrides(config: PipelineConfig, *, seed: int | None = None,
-                    window_length: int | None = None,
-                    methods: str | Sequence[str] | None = None,
-                    aggregation: str | None = None,
-                    out: str | None = None,
-                    corpus: str | None = None) -> PipelineConfig:
+def apply_overrides(config: PipelineConfig, **flags: Any) -> PipelineConfig:
     """Command-line flag overrides; flags win over file values.
 
-    Each flag that is not None replaces its key in the config document, which
-    is then read like a file, so flags get the same checks and messages.
+    Each keyword is a flag named in ``FLAG_KEYS`` (another name raises
+    TypeError).  A flag that is not None replaces its key in the config
+    document, which is then read like a file, so flags get the same checks
+    and messages.
     """
     document = config.to_dict()
-    for section, key, value in (("synthetic", "seed", seed),
-                                (None, "window_length", window_length),
-                                ("evaluation", "methods", methods),
-                                ("regression", "aggregation", aggregation),
-                                ("io", "out", out),
-                                ("io", "corpus", corpus)):
+    for flag, value in flags.items():
+        if flag not in FLAG_KEYS:
+            raise TypeError(f"apply_overrides() got an unexpected keyword argument {flag!r}")
+        section, key = FLAG_KEYS[flag]
         if value is not None:
             (document if section is None else document[section])[key] = value
     return config_from_dict(document)

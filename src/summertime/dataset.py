@@ -25,11 +25,11 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, CorpusLoadError, write_csv
+from .errors import ConfigError, CorpusLoadError, is_int, write_csv
 
 DEFAULT_LABELS = ("Sed", "LHH", "MtV", "Walk", "Run")
 DEFAULT_WINDOW_LENGTH = 12
@@ -296,17 +296,13 @@ def _extract_window_targets(met_cells: list[tuple[int, str]], window_length: int
     return targets
 
 
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 # What each key of provenance.json must hold, and the test for it.
 _PROVENANCE_TYPES = {
     "label_set": ("a list of strings",
                   lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
-    "axis_count": ("an integer", _is_int),
-    "window_length": ("an integer", _is_int),
-    "seed": ("an integer or null", lambda v: v is None or _is_int(v)),
+    "axis_count": ("an integer", is_int),
+    "window_length": ("an integer", is_int),
+    "seed": ("an integer or null", lambda v: v is None or is_int(v)),
     "provenance": ("a string", lambda v: isinstance(v, str)),
 }
 
@@ -545,9 +541,8 @@ class SyntheticConfig:
                     f"regime {regime.label!r}: duration_range must be positive and ordered"
                 )
             if lo < self.window_length:
-                raise ConfigError(
-                    f"regime {regime.label!r}: minimum duration is shorter than one window"
-                )
+                raise ConfigError(f"regime {regime.label!r}: shortest bout of {lo} samples "
+                                  f"is shorter than window_length {self.window_length}")
 
 
 def _regime_block(regime: ClassRegime, length: int, t0: int, scale: float,

@@ -1,6 +1,6 @@
 """Exception types shared across the package, the model-file reading and
-writing, finite-value and count checks the fitted stages share, and the one
-CSV table writer."""
+writing, the integer, count, finite-value and input-row checks the fitted
+stages share, and the one CSV table writer."""
 
 from __future__ import annotations
 
@@ -73,10 +73,28 @@ def require_finite(fields: dict[str, Any]) -> None:
             raise ValueError(f"{name} must be finite")
 
 
+def is_int(value: Any) -> bool:
+    """Whether ``value`` is an integer; a bool or a float is not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require_rows(data: Any, dim: int) -> np.ndarray:
+    """``data`` as a finite (N, ``dim``) float matrix, a 1-d input as one row;
+    any other shape, feature count or a non-finite value raises ValueError."""
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    if data.ndim != 2:
+        raise ValueError(f"input must be 1-d or 2-d, got shape {data.shape}")
+    if data.shape[1] != dim:
+        raise ValueError(f"input has {data.shape[1]} features, model expects {dim}")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("input contains non-finite values")
+    return data
+
+
 def require_count(name: str, value: Any) -> None:
     """Raise FitError naming the setting ``name`` unless ``value`` is a
-    positive integer; a bool or a float is not an integer."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    positive integer."""
+    if not is_int(value):
         raise FitError(f"{name} must be an integer, got {value!r}")
     if value < 1:
         raise FitError(f"{name} must be positive")

@@ -59,14 +59,8 @@ REFERENCE_RMSE = {
 }
 
 
-def reference_recall_diagonal() -> tuple[float, ...]:
-    return tuple(REFERENCE_RECALL_MATRIX[i][i] for i in range(len(REFERENCE_LABELS)))
-
-
-def reference_voting_recall_diagonal() -> tuple[float, ...]:
-    return tuple(
-        REFERENCE_VOTING_RECALL_MATRIX[i][i] for i in range(len(REFERENCE_LABELS))
-    )
+def _diagonal(matrix: tuple[tuple[float, ...], ...]) -> list[float]:
+    return [row[i] for i, row in enumerate(matrix)]
 
 
 def reference_panel() -> dict:
@@ -77,11 +71,11 @@ def reference_panel() -> dict:
         "window_counts": dict(REFERENCE_WINDOW_COUNTS),
         "confusion_counts": [list(row) for row in REFERENCE_CONFUSION_COUNTS],
         "recall_matrix_percent": [list(row) for row in REFERENCE_RECALL_MATRIX],
-        "recall_diagonal_percent": list(reference_recall_diagonal()),
+        "recall_diagonal_percent": _diagonal(REFERENCE_RECALL_MATRIX),
         "voting_recall_matrix_percent": [
             list(row) for row in REFERENCE_VOTING_RECALL_MATRIX
         ],
-        "voting_recall_diagonal_percent": list(reference_voting_recall_diagonal()),
+        "voting_recall_diagonal_percent": _diagonal(REFERENCE_VOTING_RECALL_MATRIX),
         "rmse_met": {
             method: {
                 "per_class": list(values[:-1]),

@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FitError, reading_payload, require_finite
+from .errors import FitError, is_int, reading_payload, require_finite
 from .features import WindowFeatures
 from .summarize import SummaryVector
 
@@ -66,7 +66,7 @@ class RegressionSuite:
     def __post_init__(self):
         for name in ("feature_dim", "summary_dim"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            if not is_int(value) or value < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
         if len(self.models) != len(self.class_labels):
             raise ValueError("need exactly one model per class")
@@ -116,28 +116,20 @@ def build_design_rows(features: np.ndarray, ratios: np.ndarray | None) -> np.nda
     return np.hstack(columns)
 
 
-def stack_targets(features: Sequence[WindowFeatures],
-                  summaries: Sequence[SummaryVector] | None = None,
+def stack_targets(features: Sequence[WindowFeatures]
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack the windows that carry MET targets, in input order.
 
-    Returns (inputs, targets, classes), one row per window.  An input row is
-    the window's feature vector, followed by its bout's summary ratios when
-    ``summaries`` is given; ``classes`` holds each row's true label.
+    Returns (inputs, targets, classes), one row per window: the window's
+    feature vector, its MET target and its true label.
     """
-    ratio_of = None if summaries is None else {s.bout_id: s.ratios for s in summaries}
     inputs, targets, classes = [], [], []
     for feat in features:
         if feat.targets is None:
             continue
-        rows = feat.matrix
-        if ratio_of is not None:
-            if feat.bout_id not in ratio_of:
-                raise FitError(f"bout {feat.bout_id!r} has no summary vector")
-            rows = np.hstack([rows, np.tile(ratio_of[feat.bout_id], (len(rows), 1))])
-        inputs.append(rows)
+        inputs.append(feat.matrix)
         targets.append(np.asarray(feat.targets, dtype=float))
-        classes += [feat.activity_class] * len(rows)
+        classes += [feat.activity_class] * feat.window_count
     if not inputs:
         raise FitError("no training windows carry energy-expenditure targets")
     return np.vstack(inputs), np.concatenate(targets), np.array(classes)
@@ -148,16 +140,22 @@ def fit_regression_suite(features: Sequence[WindowFeatures],
                          class_labels: Sequence[str]) -> RegressionSuite:
     """Fit one per-class OLS model, grouping training windows by true label.
 
-    With ``summaries`` given, each class model uses the augmented design
-    unless that class has fewer target windows than design columns, in which
-    case it fits the window-only design, the first ``1 + feature_dim``
-    columns (logged).  A class with no target windows at all is an error.
+    ``summaries``, when given, holds one summary per bout of ``features``, in
+    order; each bout's rows are ``build_design_rows(feat.matrix, ratios)``.  A
+    class model uses that augmented design unless the class has fewer target
+    windows than design columns, in which case it fits the window-only design,
+    the first ``1 + feature_dim`` columns (logged).  A class with no target
+    windows at all is an error.
     """
     class_labels = tuple(class_labels)
-    inputs, targets, classes = stack_targets(features, summaries)
-    design = build_design_rows(inputs, None)
-    summary_dim = len(summaries[0].ratios) if summaries else 0
-    feature_dim = inputs.shape[1] - summary_dim
+    if summaries is not None and len(summaries) != len(features):
+        raise FitError(f"{len(features)} bouts but {len(summaries)} summaries")
+    ratios = [None] * len(features) if summaries is None else [s.ratios for s in summaries]
+    inputs, targets, classes = stack_targets(features)
+    design = np.vstack([build_design_rows(feat.matrix, r)
+                        for feat, r in zip(features, ratios) if feat.targets is not None])
+    feature_dim = inputs.shape[1]
+    summary_dim = design.shape[1] - 1 - feature_dim
 
     models = []
     for label in class_labels:

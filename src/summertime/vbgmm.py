@@ -47,7 +47,7 @@ import numpy as np
 from scipy.special import digamma, gammaln, logsumexp
 
 from .errors import (ConsistencyError, FitError, reading_payload, require_count,
-                     require_finite)
+                     require_finite, require_rows)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -199,16 +199,9 @@ def component_log_scores(model: MixtureModel, data: np.ndarray) -> np.ndarray:
     """(N, K) unnormalized log posterior over components: ln w_k + ln N_k(z),
     with N_k component k's density in z-scored space.
 
-    Raises ValueError on a wrong feature count or a non-finite input.
+    Raises ValueError (``errors.require_rows``) unless ``data`` is finite, 1-d or (N, D).
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    if data.shape[1] != model.dim:
-        raise ValueError(
-            f"input has {data.shape[1]} features, model expects {model.dim}"
-        )
-    if not np.all(np.isfinite(data)):
-        raise ValueError("input contains non-finite values")
-    z = model.standardizer.transform(data)
+    z = model.standardizer.transform(require_rows(data, model.dim))
     means, precisions, log_dets = model._z_terms
     quad = _quadratic(z, _pair_products(z), precisions, means)
     return np.log(model.weights) - 0.5 * (model.dim * LOG_2PI + log_dets + quad)

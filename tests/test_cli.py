@@ -9,7 +9,7 @@ import pytest
 
 from summertime import regress, vbgmm
 from summertime.cli import _build_parser, _resolve_config, main
-from summertime.config import config_from_dict
+from summertime.config import FLAG_KEYS, config_from_dict
 from summertime.dataset import generate_synthetic
 from summertime.errors import load_payload, save_payload
 from summertime.evaluate import FittedPipeline, fit_pipeline
@@ -220,6 +220,11 @@ def test_empty_methods_flag_keeps_the_config_methods(tmp_path):
         assert _resolve_config(args).evaluation.methods == ("linreg_local",)
 
 
+def test_every_override_flag_goes_through_the_flag_table():
+    flags = set(vars(_build_parser().parse_args(["run"]))) - {"config", "command", "handler"}
+    assert flags == set(FLAG_KEYS)
+
+
 def test_unknown_config_key_names_the_offender(tmp_path, capsys):
     cfg = write_config(tmp_path, {"gmm": {"k_max": 10, "x": 1}})
     code = main(["run", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -241,6 +246,14 @@ def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
     assert code == 2
     assert ("configuration error: synthetic.seed must be nonnegative"
             in capsys.readouterr().err)
+    assert not (tmp_path / "c").exists()
+
+
+def test_a_window_longer_than_a_synthetic_bout_names_window_length(tmp_path, capsys):
+    code = main(["generate", "--window-length", "70", "--out", str(tmp_path / "c")])
+    assert code == 2
+    assert ("configuration error: regime 'LHH': shortest bout of 60 samples is shorter "
+            "than window_length 70" in capsys.readouterr().err)
     assert not (tmp_path / "c").exists()
 
 

@@ -158,8 +158,16 @@ def test_class_without_targets_is_an_error():
     rng = np.random.default_rng(23)
     feats, summaries = toy_training_set(rng)
     feats = [f for f in feats if f.activity_class != "fast"]
+    summaries = [s for s in summaries if s.activity_class != "fast"]
     with pytest.raises(FitError, match="'fast' has no training windows"):
         fit_regression_suite(feats, summaries, ("slow", "fast"))
+
+
+def test_summaries_pair_with_bouts_by_position_one_each():
+    rng = np.random.default_rng(24)
+    feats, summaries = toy_training_set(rng)
+    with pytest.raises(FitError, match="^3 bouts but 6 summaries"):
+        fit_regression_suite(feats[:3], summaries, ("slow", "fast"))
 
 
 def test_unknown_class_lookup_raises_keyerror():

@@ -510,6 +510,18 @@ def test_scoring_rejects_non_finite_input_by_name():
             summarize_corpus(model, bouts)
 
 
+def test_scoring_rejects_an_array_of_more_than_two_dimensions():
+    model = model_from_dict({"format": "vbgmm", "version": 1, "weights": [0.5, 0.5],
+                             "means": [[0.0] * 3, [1.0] * 3],
+                             "covariances": [np.eye(3).tolist()] * 2,
+                             "standardizer": {"mean": [0.0] * 3, "std": [1.0] * 3}})
+    for shape in ((2, 3, 3), (4, 2, 3)):
+        for score in (assign, log_density, component_log_scores):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"input must be 1-d or 2-d, got shape {shape}")):
+                score(model, np.zeros(shape))
+
+
 def planar_payload(covariances):
     return {"format": "vbgmm", "version": 1, "weights": [0.5, 0.5],
             "means": [[0.0, 0.0], [1.0, 1.0]], "covariances": covariances,
