@@ -49,12 +49,11 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import (FitError, reading_payload, require_count, require_finite,
-                     require_rows)
+from .errors import FitError, require_count, require_finite, require_rows
 from .vbgmm import Standardizer, _softmax_rows
 
 # train_mlp's hidden width and weight decay.  The summaries feed one fixed
@@ -100,9 +99,11 @@ class MlpModel:
     ``training_log`` holds one entry per epoch: the mean per-example data loss
     (no L2 term) over that epoch's batches, each example scored at the
     parameters its batch stepped from.
-    ``input_standardizer`` is applied before the forward pass when present;
+    ``standardizer`` z-scores the inputs before the forward pass when present;
     summary inputs already live on the simplex and are trained raw.
     """
+
+    FORMAT: ClassVar = ("mlp", "network")
 
     w1: np.ndarray
     b1: np.ndarray
@@ -110,7 +111,7 @@ class MlpModel:
     b2: np.ndarray
     head: str
     class_labels: tuple[str, ...] = ()
-    input_standardizer: Standardizer | None = None
+    standardizer: Standardizer | None = None
     training_log: tuple[float, ...] = ()
     seed: int | None = None
 
@@ -141,10 +142,10 @@ class MlpModel:
             raise ValueError("output width must match the class count")
         if self.head == "linear" and self.w2.shape[1] != 1:
             raise ValueError(f"linear head needs output width 1, got {self.w2.shape[1]}")
-        if (self.input_standardizer is not None
-                and self.input_standardizer.mean.shape != (self.w1.shape[0],)):
+        if (self.standardizer is not None
+                and self.standardizer.mean.shape != (self.w1.shape[0],)):
             raise ValueError(
-                f"input standardizer has shape {self.input_standardizer.mean.shape}, "
+                f"input standardizer has shape {self.standardizer.mean.shape}, "
                 f"network takes {self.w1.shape[0]} inputs"
             )
 
@@ -418,15 +419,15 @@ def train_mlp(inputs: np.ndarray, targets: Sequence[str] | np.ndarray,
 
     return MlpModel(
         w1=params.w1.copy(), b1=params.b1.copy(), w2=params.w2.copy(), b2=params.b2.copy(),
-        head=head, class_labels=class_labels, input_standardizer=standardizer,
+        head=head, class_labels=class_labels, standardizer=standardizer,
         training_log=tuple(training_log), seed=seed,
     )
 
 
 def _prepare(model: MlpModel, inputs: np.ndarray) -> np.ndarray:
     inputs = require_rows(inputs, model.input_dim)
-    if model.input_standardizer is not None:
-        inputs = model.input_standardizer.transform(inputs)
+    if model.standardizer is not None:
+        inputs = model.standardizer.transform(inputs)
     return inputs
 
 
@@ -478,44 +479,3 @@ def classify_bout_voting(model: MlpModel, window_matrix: np.ndarray) -> ClassPre
     shares = counts.astype(float) / counts.sum()
     return ClassPrediction(label=model.class_labels[winner], probabilities=shares)
 
-
-# --------------------------------------------------------------------------
-# Serialization
-# --------------------------------------------------------------------------
-
-
-def model_to_dict(model: MlpModel) -> dict:
-    payload = {
-        "format": "mlp",
-        "version": 1,
-        "head": model.head,
-        "class_labels": list(model.class_labels),
-        "w1": model.w1.tolist(),
-        "b1": model.b1.tolist(),
-        "w2": model.w2.tolist(),
-        "b2": model.b2.tolist(),
-        "training_log": list(model.training_log),
-        "seed": model.seed,
-        "standardizer": None,
-    }
-    if model.input_standardizer is not None:
-        payload["standardizer"] = model.input_standardizer.to_dict()
-    return payload
-
-
-def model_from_dict(payload: dict) -> MlpModel:
-    with reading_payload(payload, "mlp", "network"):
-        standardizer = None
-        if payload.get("standardizer"):
-            standardizer = Standardizer.from_dict(payload["standardizer"])
-        return MlpModel(
-            w1=np.array(payload["w1"], dtype=float),
-            b1=np.array(payload["b1"], dtype=float),
-            w2=np.array(payload["w2"], dtype=float),
-            b2=np.array(payload["b2"], dtype=float),
-            head=payload["head"],
-            class_labels=tuple(payload.get("class_labels", ())),
-            input_standardizer=standardizer,
-            training_log=tuple(payload.get("training_log", ())),
-            seed=payload.get("seed"),
-        )

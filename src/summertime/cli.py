@@ -118,7 +118,7 @@ def _fit_and_save(corpus: Corpus, config: PipelineConfig
     log.info("mixture kept %d components", fitted.mixture.component_count)
     out = Path(config.io.out)
     out.mkdir(parents=True, exist_ok=True)
-    save_payload(fitted.to_dict(), out / "model_pipeline.json")
+    save_payload(fitted, out / "model_pipeline.json")
     return fitted, summaries, out
 
 
@@ -166,7 +166,7 @@ def cmd_featurize(args: argparse.Namespace, config: PipelineConfig) -> int:
 def cmd_fit(args: argparse.Namespace, config: PipelineConfig) -> int:
     fitted, _, out = _fit_and_save(_obtain_corpus(config), config)
     print(f"fitted {fitted.mixture.component_count} mixture components; "
-          f"models written to {out}")
+          f"pipeline written to {out / 'model_pipeline.json'}")
     return 0
 
 
@@ -176,7 +176,7 @@ def cmd_summarize(args: argparse.Namespace, config: PipelineConfig) -> int:
     model_path = Path(args.model) if args.model else out / "model_pipeline.json"
     if not model_path.is_file():
         raise FitError(f"fitted pipeline not found at {model_path}; run fit first")
-    mixture = load_payload(model_path, FittedPipeline.from_dict).mixture
+    mixture = load_payload(model_path, FittedPipeline).mixture
     features = featurize_corpus(corpus, config.window_length)
     summaries = summarize_corpus(mixture, features)
     out.mkdir(parents=True, exist_ok=True)

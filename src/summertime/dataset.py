@@ -500,6 +500,9 @@ class SyntheticConfig:
     window_length: int = DEFAULT_WINDOW_LENGTH
 
     def validate(self) -> None:
+        for name in ("subjects", "bouts_per_class", "window_length"):
+            if not is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.subjects < 1:
             raise ConfigError("subjects must be positive")
         if self.bouts_per_class < 1:

@@ -1,15 +1,25 @@
-"""Exception types shared across the package, the model-file reading and
-writing, the integer, count, finite-value and input-row checks the fitted
-stages share, and the one CSV table writer."""
+"""Exception types shared across the package, the model-file codec, the
+integer, count, finite-value and input-row checks the fitted stages share,
+and the one CSV table writer.
+
+The model-file codec has one rule: a model's payload is its ``FORMAT``
+header, if its class declares one, followed by each dataclass field under
+its own name.  Arrays and tuples are written as lists, and nested models as
+their own payloads.  ``from_payload`` reads each field by its type hint; a
+field that has a default may be absent from a file.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
 import numbers
-from contextlib import contextmanager
+import types
+from contextlib import contextmanager, nullcontext
+from dataclasses import MISSING, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import (Any, Iterable, Iterator, Sequence, TypeVar, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -100,18 +110,64 @@ def require_count(name: str, value: Any) -> None:
         raise FitError(f"{name} must be positive")
 
 
-def save_payload(payload: dict, path: str | Path) -> None:
+def to_payload(model: Any) -> dict:
+    """``model``'s JSON payload: its class's ``FORMAT`` header, if it has one,
+    then every field under its own name."""
+    header = {"format": model.FORMAT[0], "version": 1} if hasattr(model, "FORMAT") else {}
+    return header | {field.name: _to_json(getattr(model, field.name))
+                     for field in fields(model)}
+
+
+def _to_json(value: Any) -> Any:
+    if is_dataclass(value):
+        return to_payload(value)
+    if isinstance(value, tuple):
+        return [_to_json(item) for item in value]
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def from_payload(cls: type[T], payload: Any) -> T:
+    """The ``cls`` model that ``payload`` holds, each field read by its type
+    hint; a class with a ``FORMAT`` header is read through ``reading_payload``."""
+    with reading_payload(payload, *cls.FORMAT) if hasattr(cls, "FORMAT") else nullcontext():
+        if not isinstance(payload, dict):
+            raise TypeError(f"{cls.__name__} payload must be an object, "
+                            f"got {type(payload).__name__}")
+        hints = get_type_hints(cls)
+        # A field without a default is read even when absent, so it raises KeyError.
+        names = [field.name for field in fields(cls)
+                 if field.name in payload or field.default is MISSING]
+        return cls(**{name: _from_json(hints[name], payload[name]) for name in names})
+
+
+def _from_json(hint: Any, value: Any) -> Any:
+    """``value`` read as ``hint``: a float array, ``X | None``,
+    ``tuple[X, ...]``, a nested model, or a JSON scalar as it is."""
+    if hint is np.ndarray:
+        return np.array(value, dtype=float)
+    if isinstance(hint, types.UnionType):
+        (inner,) = (arg for arg in get_args(hint) if arg is not type(None))
+        return None if value is None else _from_json(inner, value)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):  # a string would read as its characters
+            raise TypeError(f"expected a list, got {type(value).__name__}")
+        return tuple(_from_json(get_args(hint)[0], item) for item in value)
+    return from_payload(hint, value) if is_dataclass(hint) else value
+
+
+def save_payload(model: Any, path: str | Path) -> None:
+    """Write ``model``'s payload to ``path`` as one line of JSON."""
     with open(Path(path), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        json.dump(to_payload(model), fh)
         fh.write("\n")
 
 
-def load_payload(path: str | Path, from_dict: Callable[[Any], T]) -> T:
-    """Read a saved model file; a malformed one raises ValueError naming it."""
+def load_payload(path: str | Path, cls: type[T]) -> T:
+    """Read a saved ``cls`` model file; a malformed one raises ValueError naming it."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         try:
-            return from_dict(json.load(fh))
+            return from_payload(cls, json.load(fh))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 

@@ -28,8 +28,9 @@ for all five methods, beside the bout's actual MET.
 The ``summertime`` runner fits the mixture with ``fit_mixture`` and the rest
 of the pipeline with ``fit_pipeline``, as the CLI's whole-corpus fit does,
 and labels its test bouts with ``FittedPipeline.predict``, the one
-summarize -> classify -> regress chain; its ``to_dict`` is the CLI's one model
-file, ``model_pipeline.json``, which ``from_dict`` reads back whole.  The four
+summarize -> classify -> regress chain; its payload (``errors.save_payload``)
+is the CLI's one model file, ``model_pipeline.json``, which
+``errors.load_payload(path, FittedPipeline)`` reads back whole.  The four
 voting baselines share one runner and differ only in their MET estimator; they
 record no facts.  Each report's ``regression_modes`` is read from the facts
 of the ``summertime`` folds (see ``_run_summertime``).
@@ -44,14 +45,14 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from . import classify, regress, vbgmm
+from . import classify, regress
 from .config import PipelineConfig
 from .dataset import Bout, Corpus, loso_folds
-from .errors import EvaluationError, SummertimeError, reading_payload, write_csv
+from .errors import EvaluationError, SummertimeError, write_csv
 from .features import WindowFeatures, featurize_corpus, stack_features
 from .reference import reference_panel
 from .summarize import SummaryVector, summarize_corpus, summary_matrix
@@ -175,38 +176,27 @@ class EvaluationReport:
 @dataclass(frozen=True)
 class FittedPipeline:
     """Every trained stage of the summary pipeline, fitted on one training set;
-    ``to_dict`` is the one model file.  Construction checks the stages fit."""
+    its payload is the one model file.  Construction checks the stages fit."""
+
+    FORMAT: ClassVar = ("pipeline", "pipeline")
 
     mixture: MixtureModel
     classifier: classify.MlpModel
-    suite: regress.RegressionSuite
+    regression: regress.RegressionSuite
 
     def __post_init__(self):
         k = self.mixture.component_count
         if self.classifier.input_dim != k:
             raise ValueError(f"classifier takes {self.classifier.input_dim} inputs, "
                              f"mixture has {k} components")
-        if self.classifier.class_labels != self.suite.class_labels:
+        if self.classifier.class_labels != self.regression.class_labels:
             raise ValueError(f"classifier labels {list(self.classifier.class_labels)} "
                              f"differ from regression suite labels "
-                             f"{list(self.suite.class_labels)}")
-        shape = (self.suite.feature_dim, self.suite.summary_dim)
+                             f"{list(self.regression.class_labels)}")
+        shape = (self.regression.feature_dim, self.regression.summary_dim)
         if shape != (self.mixture.dim, k):
             raise ValueError(f"regression suite has (feature_dim, summary_dim) {shape}, "
                              f"mixture has {(self.mixture.dim, k)}")
-
-    def to_dict(self) -> dict:
-        return {"format": "pipeline", "version": 1,
-                "mixture": vbgmm.model_to_dict(self.mixture),
-                "classifier": classify.model_to_dict(self.classifier),
-                "regression": regress.suite_to_dict(self.suite)}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FittedPipeline":
-        with reading_payload(payload, "pipeline", "pipeline"):
-            return cls(vbgmm.model_from_dict(payload["mixture"]),
-                       classify.model_from_dict(payload["classifier"]),
-                       regress.suite_from_dict(payload["regression"]))
 
     def predict(self, feats: Sequence[WindowFeatures]
                 ) -> tuple[list[tuple[str, np.ndarray]], list[SummaryVector]]:
@@ -219,7 +209,7 @@ class FittedPipeline:
         for feat, summary in zip(feats, summaries):
             label = classify.predict_class(self.classifier, summary.ratios).label
             predictions.append((label, regress.predict_windows(
-                self.suite, label, feat.matrix, summary.ratios)))
+                self.regression, label, feat.matrix, summary.ratios)))
         return predictions, summaries
 
 
@@ -288,7 +278,7 @@ def _run_summertime(train_feats: list[WindowFeatures],
     fitted, train_sums = fit_pipeline(train_feats, labels, config, mixture,
                                       seeds.classifier)
     predictions, test_sums = fitted.predict(test_feats)
-    suites = (fitted.suite, regress.fit_regression_suite(train_feats, None, labels))
+    suites = (fitted.regression, regress.fit_regression_suite(train_feats, None, labels))
     facts = {"train": [], "test": []}
     for split, feats, sums in (("train", train_feats, train_sums),
                                ("test", test_feats, test_sums)):

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .errors import FitError, is_int, reading_payload, require_finite
+from .errors import FitError, is_int, require_finite
 from .features import WindowFeatures
 from .summarize import SummaryVector
 
@@ -57,6 +57,8 @@ class LinearModel:
 @dataclass(frozen=True)
 class RegressionSuite:
     """One LinearModel per class, keyed by the shared label order."""
+
+    FORMAT: ClassVar = ("regression_suite", "regression suite")
 
     models: tuple[LinearModel, ...]
     class_labels: tuple[str, ...]
@@ -215,43 +217,3 @@ def predict_bout_met(suite: RegressionSuite, predicted_class: str,
     """Bout-level estimate: route to the predicted class, then ``bout_met``."""
     return bout_met(predict_windows(suite, predicted_class, features.matrix, ratios), how)
 
-
-# --------------------------------------------------------------------------
-# Serialization
-# --------------------------------------------------------------------------
-
-
-def suite_to_dict(suite: RegressionSuite) -> dict:
-    return {
-        "format": "regression_suite",
-        "version": 1,
-        "class_labels": list(suite.class_labels),
-        "feature_dim": suite.feature_dim,
-        "summary_dim": suite.summary_dim,
-        "models": [
-            {
-                "activity_class": m.activity_class,
-                "mode": m.mode,
-                "coefficients": m.coefficients.tolist(),
-            }
-            for m in suite.models
-        ],
-    }
-
-
-def suite_from_dict(payload: dict) -> RegressionSuite:
-    with reading_payload(payload, "regression_suite", "regression suite"):
-        models = tuple(
-            LinearModel(
-                activity_class=m["activity_class"],
-                coefficients=np.array(m["coefficients"], dtype=float),
-                mode=m["mode"],
-            )
-            for m in payload["models"]
-        )
-        return RegressionSuite(
-            models=models,
-            class_labels=tuple(payload["class_labels"]),
-            feature_dim=payload["feature_dim"],
-            summary_dim=payload["summary_dim"],
-        )

@@ -42,12 +42,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import digamma, gammaln, logsumexp
 
-from .errors import (ConsistencyError, FitError, reading_payload, require_count,
-                     require_finite, require_rows)
+from .errors import (ConsistencyError, FitError, require_count, require_finite,
+                     require_rows)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -100,15 +101,6 @@ class Standardizer:
     def inverse(self, data: np.ndarray) -> np.ndarray:
         return np.asarray(data, dtype=float) * self.std + self.mean
 
-    def to_dict(self) -> dict:
-        """The payload that every model file stores its standardizer as."""
-        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Standardizer":
-        return cls(mean=np.array(payload["mean"], dtype=float),
-                   std=np.array(payload["std"], dtype=float))
-
 
 @dataclass(frozen=True)
 class FitSettings:
@@ -135,6 +127,8 @@ class MixtureModel:
     reads are computed when the model is built, so a malformed covariance
     fails on load.
     """
+
+    FORMAT: ClassVar = ("vbgmm", "mixture model")
 
     weights: np.ndarray
     means: np.ndarray
@@ -467,33 +461,3 @@ def fit_mixture(data: np.ndarray, settings: FitSettings | None = None,
         seed=seed,
     )
 
-
-# --------------------------------------------------------------------------
-# Serialization
-# --------------------------------------------------------------------------
-
-
-def model_to_dict(model: MixtureModel) -> dict:
-    return {
-        "format": "vbgmm",
-        "version": 1,
-        "weights": model.weights.tolist(),
-        "means": model.means.tolist(),
-        "covariances": model.covariances.tolist(),
-        "standardizer": model.standardizer.to_dict(),
-        "elbo_trace": list(model.elbo_trace),
-        "seed": model.seed,
-    }
-
-
-def model_from_dict(payload: dict) -> MixtureModel:
-    with reading_payload(payload, "vbgmm", "mixture model"):
-        standardizer = Standardizer.from_dict(payload["standardizer"])
-        return MixtureModel(
-            weights=np.array(payload["weights"], dtype=float),
-            means=np.array(payload["means"], dtype=float),
-            covariances=np.array(payload["covariances"], dtype=float),
-            standardizer=standardizer,
-            elbo_trace=tuple(payload.get("elbo_trace", ())),
-            seed=payload.get("seed"),
-        )

@@ -16,14 +16,12 @@ from summertime.classify import (
     _init_params,
     classify_bout_voting,
     loss_and_gradients,
-    model_from_dict,
-    model_to_dict,
     predict_class,
     predict_probabilities,
     predict_values,
     train_mlp,
 )
-from summertime.errors import FitError, load_payload, save_payload
+from summertime.errors import FitError, from_payload, load_payload, save_payload, to_payload
 from summertime.vbgmm import Standardizer
 
 
@@ -240,7 +238,7 @@ def test_fitted_weights_are_plain_arrays_that_reload_to_the_same_bits(head):
         assert array.flags.c_contiguous
         for other in arrays[i + 1 :]:
             assert not np.shares_memory(array, other)
-    loaded = model_from_dict(model_to_dict(model))
+    loaded = from_payload(MlpModel, to_payload(model))
     probe = np.random.default_rng(3).normal(3.0, 2.0, size=(20, x.shape[1]))
     predict = predict_probabilities if head == "softmax" else predict_values
     assert np.array_equal(predict(loaded, probe), predict(model, probe))
@@ -422,11 +420,11 @@ def test_repeated_class_label_is_an_error(tmp_path):
                "w1": np.zeros((2, 3)).tolist(), "b1": [0.0] * 3,
                "w2": np.zeros((3, 3)).tolist(), "b2": [0.0] * 3}
     with pytest.raises(ValueError, match="^class label 'a' is repeated$"):
-        model_from_dict(payload)
+        from_payload(MlpModel, payload)
     path = tmp_path / "mlp.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError) as caught:
-        load_payload(path, model_from_dict)
+        load_payload(path, MlpModel)
     assert str(caught.value) == f"{path}: class label 'a' is repeated"
 
 
@@ -462,7 +460,7 @@ def test_input_standardizer_is_applied_at_predict_time():
     model = train_mlp(x, labels, class_labels=("near", "far"),
                       settings=MlpSettings(epochs=100), seed=4,
                       standardize_inputs=True)
-    assert model.input_standardizer is not None
+    assert model.standardizer is not None
     assert predict_class(model, np.array([0.0, 0.0])).label == "near"
     assert predict_class(model, np.array([500.0, 500.0])).label == "far"
     assert predict_class(model, np.array([[500.0, 500.0]])).label == "far"
@@ -538,8 +536,8 @@ def test_serialization_round_trip(tmp_path):
                       settings=MlpSettings(epochs=25), seed=5,
                       standardize_inputs=True)
     path = tmp_path / "mlp.json"
-    save_payload(model_to_dict(model), path)
-    loaded = load_payload(path, model_from_dict)
+    save_payload(model, path)
+    loaded = load_payload(path, MlpModel)
     probe = rng.normal(size=(20, 2))
     np.testing.assert_allclose(
         predict_probabilities(loaded, probe), predict_probabilities(model, probe),
@@ -551,15 +549,15 @@ def test_serialization_round_trip(tmp_path):
 
 def test_serialization_rejects_foreign_payloads(tmp_path):
     with pytest.raises(ValueError, match="format"):
-        model_from_dict({"format": "not_mlp", "version": 1})
+        from_payload(MlpModel, {"format": "not_mlp", "version": 1})
     with pytest.raises(ValueError, match="must be a JSON object, got list"):
-        model_from_dict([])
-    with pytest.raises(ValueError, match="network payload has a value of the wrong type"):
-        model_from_dict({"format": "mlp", "version": 1, "standardizer": "x"})
+        from_payload(MlpModel, [])
     linear = {"format": "mlp", "version": 1, "head": "linear",
               "w1": np.zeros((2, 3)).tolist(), "b1": [0.0] * 3,
               "w2": np.zeros((3, 1)).tolist(), "b2": [0.0]}
-    model_from_dict(linear)
+    with pytest.raises(ValueError, match="network payload has a value of the wrong type"):
+        from_payload(MlpModel, {**linear, "standardizer": "x"})
+    from_payload(MlpModel, linear)
     for key, value, message in [
         ("b1", [0.0] * 5, r"b1 has shape \(5,\), layer width is 3"),
         ("b2", [0.0] * 7, r"b2 has shape \(7,\), layer width is 1"),
@@ -575,15 +573,19 @@ def test_serialization_rejects_foreign_payloads(tmp_path):
          "^standardizer std must be positive"),
         ("standardizer", {"mean": [0.0, 0.0], "std": [1.0]},
          r"^standardizer mean and std must be 1-d and of one length, got shapes \(2,\) and \(1,\)"),
+        # A string is not read as a tuple of its characters.
+        ("class_labels", "ab", "^network payload has a value of the wrong type: "
+                               "expected a list, got str$"),
+        ("training_log", "0.5", "expected a list, got str$"),
     ]:
         with pytest.raises(ValueError, match=message):
-            model_from_dict({**linear, key: value})
+            from_payload(MlpModel, {**linear, key: value})
     with pytest.raises(ValueError, match="linear head needs output width 1, got 2"):
-        model_from_dict({**linear, "w2": np.zeros((3, 2)).tolist(), "b2": [0.0] * 2})
+        from_payload(MlpModel, {**linear, "w2": np.zeros((3, 2)).tolist(), "b2": [0.0] * 2})
     path = tmp_path / "mlp.json"
     path.write_text('{"format": "mlp", "version": 1}')
     with pytest.raises(ValueError, match=r"mlp\.json: .* no key 'w1'"):
-        load_payload(path, model_from_dict)
+        load_payload(path, MlpModel)
 
 
 def test_a_linear_head_with_class_labels_is_rejected(tmp_path):
@@ -591,11 +593,11 @@ def test_a_linear_head_with_class_labels_is_rejected(tmp_path):
               "w1": np.zeros((2, 3)).tolist(), "b1": [0.0] * 3,
               "w2": np.zeros((3, 1)).tolist(), "b2": [0.0]}
     with pytest.raises(ValueError, match="^linear head takes no class labels$"):
-        model_from_dict(linear)
+        from_payload(MlpModel, linear)
     path = tmp_path / "mlp.json"
     path.write_text(json.dumps(linear))
     with pytest.raises(ValueError) as info:
-        load_payload(path, model_from_dict)
+        load_payload(path, MlpModel)
     assert str(info.value) == f"{path}: linear head takes no class labels"
 
 
@@ -604,6 +606,6 @@ def test_model_dict_survives_json():
     x, labels = separable_data(rng, n_per=8)
     model = train_mlp(x, labels, class_labels=("lo", "hi", "mid"),
                       settings=MlpSettings(epochs=10), seed=6)
-    payload = json.loads(json.dumps(model_to_dict(model)))
-    again = model_from_dict(payload)
+    payload = json.loads(json.dumps(to_payload(model)))
+    again = from_payload(MlpModel, payload)
     np.testing.assert_allclose(again.w1, model.w1, rtol=1e-15)

@@ -11,7 +11,7 @@ from summertime import regress, vbgmm
 from summertime.cli import _build_parser, _resolve_config, main
 from summertime.config import FLAG_KEYS, config_from_dict
 from summertime.dataset import generate_synthetic
-from summertime.errors import load_payload, save_payload
+from summertime.errors import from_payload, load_payload, save_payload, to_payload
 from summertime.evaluate import FittedPipeline, fit_pipeline
 from summertime.features import featurize_corpus, stack_features
 
@@ -100,7 +100,7 @@ def test_fit_writes_the_models_of_the_in_process_pipeline(tmp_path, small_fit):
     fitted, train_sums, feats = small_fit
     mine = tmp_path / "in_process"
     mine.mkdir()
-    save_payload(fitted.to_dict(), mine / "model_pipeline.json")
+    save_payload(fitted, mine / "model_pipeline.json")
     assert read_tree(tmp_path / "cli") == read_tree(mine)
     predictions, summaries = fitted.predict(feats)
     assert len(predictions) == len(feats) == 15
@@ -122,7 +122,7 @@ def test_summarize_without_model_fails_cleanly(tmp_path, capsys):
                  "--out", str(tmp_path / "empty")])
     assert code == 1
     err = capsys.readouterr().err
-    assert f"{model}: mixture model payload has no key 'standardizer'" in err
+    assert f"{model}: mixture model payload has no key 'weights'" in err
     model.write_text(json.dumps({"format": "pipeline", "version": 1, "mixture": {
         "format": "vbgmm", "version": 1, "weights": [1.0], "means": [[0.0]],
         "covariances": [[[1.0]]], "standardizer": [],
@@ -151,23 +151,41 @@ def test_summarize_without_model_fails_cleanly(tmp_path, capsys):
 
 def test_a_reloaded_pipeline_predicts_exactly_like_the_fitted_one(small_fit):
     fitted, _, feats = small_fit
-    loaded = FittedPipeline.from_dict(json.loads(json.dumps(fitted.to_dict())))
+    loaded = from_payload(FittedPipeline, json.loads(json.dumps(to_payload(fitted))))
     (expected, _), (got, _) = fitted.predict(feats), loaded.predict(feats)
     assert [label for label, _ in got] == [label for label, _ in expected]
     for (_, a), (_, b) in zip(got, expected):
         assert a.tolist() == b.tolist()
 
 
+def test_the_pipeline_file_keys_are_the_field_names_files_were_written_with(small_fit):
+    # Each stage's payload is its header plus its dataclass fields, so these
+    # key sets are the field names; pinning them keeps older files loading.
+    payload = to_payload(small_fit[0])
+    header = {"format", "version"}
+    assert list(payload) == ["format", "version", "mixture", "classifier", "regression"]
+    assert set(payload["mixture"]) == header | {
+        "weights", "means", "covariances", "standardizer", "elbo_trace", "seed"}
+    assert set(payload["classifier"]) == header | {
+        "head", "class_labels", "w1", "b1", "w2", "b2", "training_log", "seed",
+        "standardizer"}
+    assert set(payload["regression"]) == header | {
+        "class_labels", "feature_dim", "summary_dim", "models"}
+    assert [set(m) for m in payload["regression"]["models"]] == [
+        {"activity_class", "mode", "coefficients"}] * 5
+    assert set(payload["mixture"]["standardizer"]) == {"mean", "std"}
+
+
 def test_a_pipeline_whose_stages_disagree_fails_naming_both(small_fit, tmp_path, capsys):
     fitted, _, feats = small_fit
-    payload = fitted.to_dict()
+    payload = to_payload(fitted)
     mixture = payload["mixture"]
     weights = mixture["weights"][:-1]
     fewer = {**mixture, "weights": [w / sum(weights) for w in weights],
              "means": mixture["means"][:-1], "covariances": mixture["covariances"][:-1]}
     k = fitted.mixture.component_count
     classifier = payload["classifier"]
-    window_only = regress.fit_regression_suite(feats, None, fitted.suite.class_labels)
+    window_only = regress.fit_regression_suite(feats, None, fitted.regression.class_labels)
     cases = [
         ({**payload, "mixture": fewer},
          f"classifier takes {k} inputs, mixture has {k - 1} components"),
@@ -175,7 +193,7 @@ def test_a_pipeline_whose_stages_disagree_fails_naming_both(small_fit, tmp_path,
                                     "class_labels": classifier["class_labels"][::-1]}},
          "classifier labels ['Run', 'Walk', 'MtV', 'LHH', 'Sed'] differ from "
          "regression suite labels ['Sed', 'LHH', 'MtV', 'Walk', 'Run']"),
-        ({**payload, "regression": regress.suite_to_dict(window_only)},
+        ({**payload, "regression": to_payload(window_only)},
          f"regression suite has (feature_dim, summary_dim) (18, 0), "
          f"mixture has (18, {k})"),
     ]
@@ -183,10 +201,10 @@ def test_a_pipeline_whose_stages_disagree_fails_naming_both(small_fit, tmp_path,
     model = tmp_path / "pipeline.json"
     for bad, message in cases:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            FittedPipeline.from_dict(bad)
-        save_payload(bad, model)
+            from_payload(FittedPipeline, bad)
+        model.write_text(json.dumps(bad))
         with pytest.raises(ValueError, match=f"^{re.escape(f'{model}: {message}')}$"):
-            load_payload(model, FittedPipeline.from_dict)
+            load_payload(model, FittedPipeline)
         code = main(["summarize", "--config", cfg, "--model", str(model),
                      "--out", str(tmp_path / "out")])
         assert code == 1

@@ -105,6 +105,19 @@ def test_synthetic_config_validation():
         bad.validate()
 
 
+@pytest.mark.parametrize("field", ["subjects", "bouts_per_class", "window_length"])
+@pytest.mark.parametrize("value", [True, 2.5, 3.0, "3"])
+def test_synthetic_sizes_must_be_integers(field, value):
+    config = SyntheticConfig(**{field: value})
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+        config.validate()
+    with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
+        generate_synthetic(config, seed=0)
+    # the positivity checks keep their own messages
+    with pytest.raises(ConfigError, match=f"^{field} must be (positive|>= 2)$"):
+        SyntheticConfig(**{field: 0}).validate()
+
+
 @pytest.mark.parametrize("interleave, message", [
     (("Jog", 0.5), "regime 'B': interleave names no regime 'Jog'"),
     (("A", -0.1), r"regime 'B': interleave probability must be in \[0, 1\)"),

@@ -5,7 +5,7 @@ import logging
 import numpy as np
 import pytest
 
-from summertime.errors import FitError, load_payload, save_payload
+from summertime.errors import FitError, from_payload, load_payload, save_payload
 from summertime.features import WindowFeatures
 from summertime.regress import (
     LinearModel,
@@ -17,8 +17,6 @@ from summertime.regress import (
     fit_regression_suite,
     predict_bout_met,
     predict_windows,
-    suite_from_dict,
-    suite_to_dict,
 )
 from summertime.summarize import SummaryVector
 
@@ -225,8 +223,8 @@ def test_serialization_round_trip(tmp_path):
     feats, summaries = toy_training_set(rng)
     suite = fit_regression_suite(feats, summaries, ("slow", "fast"))
     path = tmp_path / "suite.json"
-    save_payload(suite_to_dict(suite), path)
-    loaded = load_payload(path, suite_from_dict)
+    save_payload(suite, path)
+    loaded = load_payload(path, RegressionSuite)
     assert loaded.class_labels == suite.class_labels
     for a, b in zip(loaded.models, suite.models):
         np.testing.assert_allclose(a.coefficients, b.coefficients, rtol=1e-15)
@@ -235,21 +233,21 @@ def test_serialization_round_trip(tmp_path):
 
 def test_serialization_rejects_foreign_payloads(tmp_path):
     with pytest.raises(ValueError, match="format"):
-        suite_from_dict({"format": "nope", "version": 1})
+        from_payload(RegressionSuite, {"format": "nope", "version": 1})
     with pytest.raises(ValueError, match="must be a JSON object, got str"):
-        suite_from_dict("x")
+        from_payload(RegressionSuite, "x")
     for models in (["x"], 5):
         with pytest.raises(ValueError,
                            match="regression suite payload has a value of the wrong type"):
-            suite_from_dict({"format": "regression_suite", "version": 1,
-                             "models": models})
+            from_payload(RegressionSuite, {"format": "regression_suite", "version": 1,
+                                           "models": models})
     valid = {"format": "regression_suite", "version": 1,
              "class_labels": ["slow", "fast"], "feature_dim": 18, "summary_dim": 5,
              "models": [{"activity_class": "slow", "mode": "augmented",
                          "coefficients": [0.0] * 24},
                         {"activity_class": "fast", "mode": "window_only",
                          "coefficients": [0.0] * 19}]}
-    suite_from_dict(valid)
+    from_payload(RegressionSuite, valid)
     for slow, fast, message in [
         ([0.0] * 2, [0.0], "'slow': augmented model has 2 coefficients, expected 24"),
         ([0.0] * 24, [0.0], "'fast': window_only model has 1 coefficients, expected 19"),
@@ -260,7 +258,7 @@ def test_serialization_rejects_foreign_payloads(tmp_path):
         models = [{**valid["models"][0], "coefficients": slow},
                   {**valid["models"][1], "coefficients": fast}]
         with pytest.raises(ValueError, match=message):
-            suite_from_dict({**valid, "models": models})
+            from_payload(RegressionSuite, {**valid, "models": models})
     # Dimensions are nonnegative integers as written: no rounding, no booleans.
     window_only = [{"activity_class": label, "mode": "window_only", "coefficients": []}
                    for label in ("slow", "fast")]
@@ -268,9 +266,9 @@ def test_serialization_rejects_foreign_payloads(tmp_path):
                        ("summary_dim", -1), ("summary_dim", 1.9), ("summary_dim", True)]:
         with pytest.raises(ValueError,
                            match=f"^{key} must be a nonnegative integer, got {value!r}$"):
-            suite_from_dict({**valid, "feature_dim": 0, "summary_dim": 0,
-                             "models": window_only, key: value})
+            from_payload(RegressionSuite, {**valid, "feature_dim": 0, "summary_dim": 0,
+                                           "models": window_only, key: value})
     path = tmp_path / "suite.json"
     path.write_text('{"format": "regression_suite", "version": 1}')
     with pytest.raises(ValueError, match=r"suite\.json: .* no key 'models'"):
-        load_payload(path, suite_from_dict)
+        load_payload(path, RegressionSuite)

@@ -12,11 +12,12 @@ from scipy.stats import multivariate_normal, wishart
 
 from summertime import vbgmm
 from summertime.dataset import SyntheticConfig, generate_synthetic
-from summertime.errors import FitError, load_payload, save_payload
+from summertime.errors import FitError, from_payload, load_payload, save_payload, to_payload
 from summertime.features import WindowFeatures, featurize_corpus, stack_features
 from summertime.summarize import summarize_corpus
 from summertime.vbgmm import (
     FitSettings,
+    MixtureModel,
     Standardizer,
     _elbo,
     _expected_log_likelihood_terms,
@@ -29,8 +30,6 @@ from summertime.vbgmm import (
     component_log_scores,
     fit_mixture,
     log_density,
-    model_from_dict,
-    model_to_dict,
 )
 
 
@@ -430,8 +429,8 @@ def test_serialization_round_trip(tmp_path):
     data = three_blob_data(rng)
     model = fit_mixture(data, FitSettings(k_max=6), seed=7)
     path = tmp_path / "mix.json"
-    save_payload(model_to_dict(model), path)
-    loaded = load_payload(path, model_from_dict)
+    save_payload(model, path)
+    loaded = load_payload(path, MixtureModel)
     probe = rng.normal(5.0, 10.0, size=(50, 2))
     np.testing.assert_allclose(
         log_density(loaded, probe), log_density(model, probe), rtol=1e-12
@@ -442,20 +441,20 @@ def test_serialization_round_trip(tmp_path):
 
 def test_serialization_rejects_foreign_payloads():
     with pytest.raises(ValueError, match="format"):
-        model_from_dict({"format": "something_else", "version": 1})
-    with pytest.raises(ValueError, match="no key 'standardizer'"):
-        model_from_dict({"format": "vbgmm", "version": 1})
+        from_payload(MixtureModel, {"format": "something_else", "version": 1})
+    with pytest.raises(ValueError, match="no key 'weights'"):
+        from_payload(MixtureModel, {"format": "vbgmm", "version": 1})
     with pytest.raises(ValueError, match="must be a JSON object, got list"):
-        model_from_dict([])
+        from_payload(MixtureModel, [])
     with pytest.raises(ValueError,
                        match="mixture model payload has a value of the wrong type"):
-        model_from_dict({"format": "vbgmm", "version": 1, "weights": [1.0],
-                         "means": [[0.0]], "covariances": [[[1.0]]],
-                         "standardizer": []})
+        from_payload(MixtureModel, {"format": "vbgmm", "version": 1, "weights": [1.0],
+                                    "means": [[0.0]], "covariances": [[[1.0]]],
+                                    "standardizer": []})
     valid = {"format": "vbgmm", "version": 1, "weights": [0.5, 0.5],
              "means": [[0.0], [1.0]], "covariances": [[[1.0]], [[1.0]]],
              "standardizer": {"mean": [0.0], "std": [1.0]}}
-    model_from_dict(valid)
+    from_payload(MixtureModel, valid)
     nan, inf = float("nan"), float("inf")
     for key, value, message in [
         ("weights", [nan, nan], "^weights must be finite"),
@@ -470,21 +469,21 @@ def test_serialization_rejects_foreign_payloads():
          r"^standardizer mean and std must be 1-d"),
     ]:
         with pytest.raises(ValueError, match=message):
-            model_from_dict({**valid, key: value})
+            from_payload(MixtureModel, {**valid, key: value})
     # The standardizer must have one entry per mixture dimension.
     planar = {**valid, "means": [[0.0, 0.0], [1.0, 1.0]],
               "covariances": [np.eye(2).tolist()] * 2}
     with pytest.raises(ValueError,
                        match=r"^standardizer has shape \(1,\), mixture has dimension 2"):
-        model_from_dict(planar)
-    model_from_dict({**planar, "standardizer": {"mean": [0.0, 0.0], "std": [1.0, 1.0]}})
+        from_payload(MixtureModel, planar)
+    from_payload(MixtureModel, {**planar, "standardizer": {"mean": [0.0, 0.0], "std": [1.0, 1.0]}})
 
 
 def test_model_dict_is_json_clean():
     rng = np.random.default_rng(41)
     model = fit_mixture(three_blob_data(rng), FitSettings(k_max=5), seed=8)
-    payload = model_to_dict(model)
-    again = model_from_dict(json.loads(json.dumps(payload)))
+    payload = to_payload(model)
+    again = from_payload(MixtureModel, json.loads(json.dumps(payload)))
     np.testing.assert_allclose(again.means, model.means, rtol=1e-15)
 
 
@@ -511,10 +510,10 @@ def test_scoring_rejects_non_finite_input_by_name():
 
 
 def test_scoring_rejects_an_array_of_more_than_two_dimensions():
-    model = model_from_dict({"format": "vbgmm", "version": 1, "weights": [0.5, 0.5],
-                             "means": [[0.0] * 3, [1.0] * 3],
-                             "covariances": [np.eye(3).tolist()] * 2,
-                             "standardizer": {"mean": [0.0] * 3, "std": [1.0] * 3}})
+    model = from_payload(MixtureModel, {
+        "format": "vbgmm", "version": 1, "weights": [0.5, 0.5],
+        "means": [[0.0] * 3, [1.0] * 3], "covariances": [np.eye(3).tolist()] * 2,
+        "standardizer": {"mean": [0.0] * 3, "std": [1.0] * 3}})
     for shape in ((2, 3, 3), (4, 2, 3)):
         for score in (assign, log_density, component_log_scores):
             with pytest.raises(ValueError, match=re.escape(
@@ -533,15 +532,15 @@ def test_an_asymmetric_covariance_is_rejected(tmp_path):
     # its first component as if both off-diagonal entries were -0.9.
     payload = planar_payload([[[1.0, 0.9], [-0.9, 1.0]], np.eye(2).tolist()])
     with pytest.raises(ValueError, match="^component 0: covariance is not symmetric$"):
-        model_from_dict(payload)
+        from_payload(MixtureModel, payload)
     path = tmp_path / "skew.json"
     path.write_text(json.dumps(payload), encoding="utf-8")
     with pytest.raises(ValueError,
                        match=f"^{re.escape(str(path))}: component 0: covariance is not symmetric$"):
-        load_payload(path, model_from_dict)
+        load_payload(path, MixtureModel)
     # Rounding-level asymmetry, relative to the component's largest entry, loads.
-    model_from_dict(planar_payload([np.eye(2).tolist(),
-                                    [[1e6, 0.5], [0.5 + 1e-7, 1.0]]]))
+    from_payload(MixtureModel, planar_payload([np.eye(2).tolist(),
+                                               [[1e6, 0.5], [0.5 + 1e-7, 1.0]]]))
 
 
 @pytest.mark.parametrize("second", [-1.0, 0.0])
@@ -551,7 +550,7 @@ def test_a_covariance_that_is_not_positive_definite_is_rejected(second):
                "standardizer": {"mean": [0.0], "std": [1.0]}}
     with pytest.raises(ValueError,
                        match="^component 1: covariance is not positive definite$"):
-        model_from_dict(payload)
+        from_payload(MixtureModel, payload)
 
 
 def test_component_scores_match_scipy_densities():
@@ -566,10 +565,10 @@ def test_component_scores_match_scipy_densities():
     means = np.array([[1.0, -2.0], [4.0, 3.0], [-3.0, 0.5]])
     covs = np.array([tight, [[2.0, 0.3], [0.3, 0.5]], [[0.7, -0.2], [-0.2, 9.0]]])
     std = np.array([0.5, 3.0])
-    model = model_from_dict({"format": "vbgmm", "version": 1,
-                             "weights": weights.tolist(), "means": means.tolist(),
-                             "covariances": covs.tolist(),
-                             "standardizer": {"mean": [1.5, -0.5], "std": std.tolist()}})
+    model = from_payload(MixtureModel, {
+        "format": "vbgmm", "version": 1, "weights": weights.tolist(),
+        "means": means.tolist(), "covariances": covs.tolist(),
+        "standardizer": {"mean": [1.5, -0.5], "std": std.tolist()}})
     rng = np.random.default_rng(24)
     near = np.repeat(means, 10, axis=0) + rng.uniform(-1e-3, 1e-3, size=(30, 2))
     for points in (near, rng.normal(scale=5.0, size=(50, 2)),
