@@ -1,7 +1,11 @@
-"""Every name a package module imports is used by that module, and every
-name a package module defines is read somewhere in the repository."""
+"""Every name a package module imports is used by that module, every name a
+package module defines is read somewhere in the repository, and importing the
+package loads no scipy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +74,15 @@ def test_every_defined_name_is_read_somewhere():
               for name in defined_names(ast.parse(path.read_text(encoding="utf-8")))
               if name not in read]
     assert unread == []
+
+
+def test_importing_the_package_loads_no_scipy():
+    """scipy is a test-only dependency: the package and its command line
+    import none of it."""
+    probe = ("import sys, summertime, summertime.cli; "
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.strip() == "[]"

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import digamma, gammaln, multigammaln, xlogy
+from scipy.special import digamma, gammaln, logsumexp, multigammaln, xlogy
 from scipy.stats import multivariate_normal, wishart
 
 from summertime import vbgmm
@@ -19,8 +19,10 @@ from summertime.vbgmm import (
     FitSettings,
     MixtureModel,
     Standardizer,
+    _digamma,
     _elbo,
     _expected_log_likelihood_terms,
+    _gammaln,
     _initial_responsibilities,
     _pair_products,
     _softmax_rows,
@@ -138,6 +140,47 @@ def test_density_is_higher_on_cluster_centers_than_off():
     on = log_density(model, np.array([[0.0, 0.0], [20.0, 0.0]]))
     off = log_density(model, np.array([[10.0, 10.0]]))
     assert on.min() > off.max() + 5.0
+
+
+def special_error(got, want):
+    """Largest |got - want| / max(1, |want|): relative error away from the
+    function's roots, absolute error near them, where no evaluation by
+    subtraction keeps relative digits (psi has a root at 1.46, ln Gamma at 1
+    and 2)."""
+    return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
+
+
+@pytest.mark.parametrize("ours, oracle", [(_digamma, digamma), (_gammaln, gammaln)],
+                         ids=["digamma", "gammaln"])
+def test_special_functions_match_scipy(ours, oracle):
+    grid = np.logspace(-4, 7, 25_001)
+    assert special_error(ours(grid), oracle(grid)) < 1e-14
+    shaped = grid[:360].reshape(20, 18)
+    assert ours(shaped).shape == shaped.shape
+    for x in (1e-3, 0.5, 1.0, 1.4616321449683622, 2.0, 17.5, 3e6):
+        value = ours(np.float64(x))
+        assert np.ndim(value) == 0
+        assert special_error(value, oracle(x)) < 1e-14
+
+
+def test_digamma_identities():
+    assert _digamma(1.0) == pytest.approx(-np.euler_gamma, rel=1e-14)
+    # Each term is within 1e-14 of max(1, |psi|), so their difference is
+    # within the sum of those two bounds.
+    x = np.logspace(-4, 6, 2_001)
+    error = np.abs(_digamma(x + 1.0) - _digamma(x) - 1.0 / x)
+    bound = 1e-14 * (np.maximum(1.0, np.abs(digamma(x)))
+                     + np.maximum(1.0, np.abs(digamma(x + 1.0))))
+    assert np.all(error < bound)
+
+
+def test_log_density_matches_scipy_logsumexp():
+    rng = np.random.default_rng(9)
+    model = fit_mixture(three_blob_data(rng), FitSettings(k_max=6), seed=4)
+    probe = np.vstack([rng.normal(scale=15.0, size=(200, 2)), [[1e3, -1e3], [0.0, 0.0]]])
+    want = (logsumexp(component_log_scores(model, probe), axis=1)
+            - np.log(model.standardizer.std).sum())
+    np.testing.assert_allclose(log_density(model, probe), want, rtol=1e-14)
 
 
 def test_single_component_cap():
